@@ -18,13 +18,13 @@ import (
 )
 
 // One benchmark per experiment: each regenerates the table reproducing
-// a quantitative claim of the paper (DESIGN.md §6, EXPERIMENTS.md).
-// Run a single experiment's bench with e.g.:
+// a quantitative claim of the paper (the index, with each claim, is
+// bench.Experiments in internal/bench/registry.go). Run a single
+// experiment's bench with e.g.:
 //
 //	go test -bench=BenchmarkE3 -benchtime=1x
 //
-// The full tables for EXPERIMENTS.md come from `go run ./cmd/wfbench
-// -scale=full`.
+// The full-size tables come from `go run ./cmd/wfbench -scale=full`.
 
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()

@@ -16,9 +16,17 @@
 // The trade-off is retention granularity: the garbage collector frees a
 // chunk only once every object in it is unreachable, so one long-lived
 // object (a committed box in a long-lived cell) pins its chunk's dead
-// siblings. Chunk sizes are kept small enough that this bounds waste to
-// a few KiB per live object in the adversarial worst case, and in
-// steady state mixed lifetimes mean chunks die quickly.
+// siblings and everything they point to. Chunks therefore do not die
+// quickly on their own: when a live chunk's dead objects point into
+// older chunks whose dead objects point into older ones still, a
+// writer's whole history stays reachable and retained bytes track
+// allocated bytes. Users must keep such chains out. internal/idem does
+// so by drawing committed value boxes, which point at nothing, from
+// their own arena, and by naming descriptors in its logs by id rather
+// than by pointer; a single writer then retains a few bytes per
+// operation. With several writers contending on the same cells,
+// retention is still a few hundred bytes per operation (~260 B on a
+// two-worker Map mix); reclaiming that is open.
 //
 // An Arena must only be used by a single goroutine at a time; arenas
 // live in per-process env scratch slots (env.Scratcher) or in

@@ -1,8 +1,8 @@
 // Package bench is the experiment harness: it reproduces every
 // quantitative claim of the paper as an experiment E1–E11 (the paper
 // has no empirical tables or figures, so each experiment regenerates a
-// theorem's bound or an in-text claim; see DESIGN.md §6 for the index
-// and EXPERIMENTS.md for paper-vs-measured results).
+// theorem's bound or an in-text claim; Experiments in registry.go is
+// the index, and `go run ./cmd/wfbench` prints the measured tables).
 //
 // Each experiment returns a Table that renders as an aligned text
 // table — the "rows the paper reports" equivalent. The cmd/wfbench
@@ -78,7 +78,7 @@ func (t *Table) String() string {
 }
 
 // Scale selects experiment sizes: Quick for tests and smoke runs, Full
-// for the numbers in EXPERIMENTS.md.
+// for the published tables (`go run ./cmd/wfbench -scale=full`).
 type Scale int
 
 // Scales, smallest first.

@@ -61,7 +61,6 @@ type scratch struct {
 	locks   arena.Slices[*Lock]
 	sets    arena.Slices[*activeset.Set[Descriptor]]
 	members arena.Slices[*Descriptor]
-	locals  arena.Slices[[]*Descriptor]
 	slots   arena.Slices[int]
 }
 
@@ -310,12 +309,6 @@ type Descriptor struct {
 	startStep uint64
 	// revealStep is the owner's step count at the reveal step.
 	revealStep uint64
-
-	// localSets holds per-lock set copies taken between the
-	// participation reveal and the priority reveal (unknown-bounds
-	// mode, Section 6.2). Written by the owner before the priority
-	// reveal; the atomic priority store publishes it.
-	localSets [][]*Descriptor
 
 	// noDelay marks an attempt on the uncontended fast path: every
 	// lock in the set was observed free at the start, so all delay

@@ -29,9 +29,8 @@ func (s *System) run(e env.Env, p *Descriptor) {
 		// mode) are not scanned: they have no priority to compare yet
 		// and will be scanned once revealed. Scanning live sets in both
 		// modes is what makes the Section 6.1 safety argument apply
-		// verbatim to the unknown-bounds variant; see DESIGN.md §7 for
-		// why this reconstruction deviates from Section 6.2's
-		// local-copy comparisons.
+		// verbatim to the unknown-bounds variant, in place of Section
+		// 6.2's comparisons against local copies of the sets.
 		set := multiset.GetSet[Descriptor, *Descriptor](e, l.set)
 		e.Step()
 		if p.status.Load() == StatusActive {

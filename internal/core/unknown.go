@@ -13,12 +13,9 @@ import (
 //   - announcement arrays are sized P (handled by NewLock);
 //   - the reveal step is split into a participation reveal (priority
 //     becomes TBD: the descriptor is competing, but its priority is not
-//     drawn) and a priority reveal;
-//   - between the two reveals the attempt snapshots the active sets of
-//     all its locks; after the priority reveal those local copies — and
-//     never the live sets — feed the priority comparisons, so the
-//     adversary learns the priority only after it can no longer shape
-//     the set of potential threateners;
+//     drawn) and a priority reveal, with a padding stall between them;
+//     helpers skip TBD descriptors, so an attempt is driven to a
+//     decision only after it has drawn its priority;
 //   - instead of fixed delays derived from κ, L and T, the attempt pads
 //     its step count to the next power of two at each phase boundary
 //     (the guess-and-double trick), so the adversary can steer the
@@ -66,20 +63,7 @@ func (s *System) tryLocksUnknown(e env.Env, p *Descriptor) bool {
 	e.Step()
 	p.priority.Store(priorityTBD)
 
-	// Snapshot the membership of every lock (participating descriptors
-	// only: those at or past their participation reveal).
-	if sc != nil {
-		p.localSets = sc.locals.Make(len(p.locks))
-	} else {
-		p.localSets = make([][]*Descriptor, len(p.locks))
-	}
-	for i, l := range p.locks {
-		p.localSets[i] = s.participatingMembers(e, l)
-	}
-
-	// Pad again so the snapshot phase's length is also quantized, then
-	// the priority reveal. The atomic priority store publishes the
-	// local sets to helpers.
+	// Pad again, then the priority reveal.
 	s.stallToPowerOfTwo(e, p)
 	pr := env.RandPriority(e)
 	e.Step()
@@ -123,27 +107,8 @@ func (s *System) revealedMembers(e env.Env, l *Lock) []*Descriptor {
 	return out
 }
 
-// participatingMembers returns the lock's members at or past their
-// participation reveal (priority TBD or revealed).
-func (s *System) participatingMembers(e env.Env, l *Lock) []*Descriptor {
-	snapshot := l.set.GetSet(e)
-	if len(snapshot) == 0 {
-		return nil
-	}
-	out := memberBuf(e, len(snapshot))
-	for _, q := range snapshot {
-		e.Step()
-		if q.priority.Load() >= priorityTBD {
-			out = append(out, q)
-		}
-	}
-	return out
-}
-
 // memberBuf returns an empty descriptor slice with capacity n, arena
-// backed when the environment carries scratch state. The filtered
-// snapshots built in it are published via localSets, so the backing
-// memory is never recycled.
+// backed when the environment carries scratch state.
 func memberBuf(e env.Env, n int) []*Descriptor {
 	if sc := scratchOf(e); sc != nil {
 		return sc.members.MakeCap(n)

@@ -16,9 +16,19 @@
 // memory operations, so every run issues the same operation sequence;
 // the i-th operation of any run is "operation i". Each Exec (one
 // logical thunk execution, possibly run by many helpers) carries a
-// response log with one slot per operation. The log slot is the
-// canonical outcome of the operation: the first run to fill it decides,
-// and every other run adopts the logged response instead of its own.
+// response log: a head of headSlots slots inline in the Exec, then
+// overflow segments of segSlots slots each, chained off it as runs
+// reach them. Slot i is the canonical outcome of operation i: the first
+// run to fill it decides, and every other run adopts the logged
+// response instead of its own.
+//
+// A segment link is written once. The first run to need the next
+// segment installs a fresh one by CAS; every run, including one whose
+// own install CAS lost, adopts the installed segment, so all runs agree
+// on every slot. A losing run drops its segment before writing into
+// it. Each run keeps a cursor on its current segment, so finding
+// operation i's slot is O(1), and an installed descriptor records its
+// slot pointer, so resolving it needs no lookup.
 //
 // Shared cells always hold immutable boxed values. Effectful
 // operations (Write, CAS) never mutate a cell directly; they install a
@@ -40,7 +50,8 @@
 // succeed against a stale snapshot via ABA, which is what makes step 4
 // sound: at most one installation per operation is ever recorded, so
 // the operation's effect is applied exactly once, at the moment of that
-// installation (its linearization point).
+// installation (its linearization point). The log names the recorded
+// installation by its descriptor's id, which is never reused either.
 //
 // Reads adopt the first logged value; failed CASes are logged at the
 // moment a helper observes a conflicting value.
@@ -53,6 +64,13 @@
 // so in race-free critical sections the overhead is a constant factor,
 // matching Theorem 4.2; concurrent races from other thunks (which the
 // paper explicitly permits, footnote 1) are charged to the interferer.
+// Crossing into a new overflow segment adds at most two steps (load the
+// link, install by CAS) once per segSlots operations.
+//
+// Memory is O(1) per operation executed: an Exec costs its inline head
+// plus one segment per segSlots operations beyond it, however generous
+// maxOps is. maxOps only bounds the operation index: operation
+// maxOps+1 panics.
 package idem
 
 import (
@@ -64,20 +82,31 @@ import (
 )
 
 // arenas is the per-process allocation state for the construction's
-// published objects. Boxes, descriptors, responses, execs and logs are
-// all read by helpers at unbounded staleness, so none of them may ever
-// be recycled — the bump arenas hand out each pointer exactly once and
-// abandon full chunks to the garbage collector, which preserves the
-// freshness invariant (see the ABA discussion above) while amortizing
-// the hot path to ~1/256 of a heap allocation per object.
+// published objects. Boxes, descriptors, responses, execs and log
+// segments are all read by helpers at unbounded staleness, so none of
+// them may ever be recycled — the bump arenas hand out each pointer
+// exactly once and abandon full chunks to the garbage collector, which
+// preserves the freshness invariant (see the ABA discussion above)
+// while amortizing the hot path to ~1/256 of a heap allocation per
+// object.
+//
+// Plain value boxes (vals) have their own arena, apart from descriptor
+// boxes (boxes). A cell's current box is a value box and outlives the
+// operation that committed it; sharing a chunk with descriptor boxes
+// would let it pin descriptors, whose displaced boxes (opDesc.prev)
+// reach further descriptors and older chunks, so one live cell would
+// keep its writer's whole history reachable.
 type arenas struct {
+	vals  arena.Arena[box]
 	boxes arena.Arena[box]
 	descs arena.Arena[opDesc]
 	resps arena.Arena[response]
 	cells arena.Arena[Cell]
 	execs arena.Arena[Exec]
+	segs  arena.Arena[logSeg]
 	runs  arena.Arena[Run]
-	logs  arena.Slices[atomic.Pointer[response]]
+
+	nextID, endID uint64 // the unused part of the reserved id block
 }
 
 // arenasOf returns e's idem arenas, creating them on first use, or nil
@@ -97,30 +126,69 @@ func arenasOf(e env.Env) *arenas {
 	return a
 }
 
-func (a *arenas) newBox(val uint64, desc *opDesc) *box {
+// newVal returns a fresh plain value box.
+func (a *arenas) newVal(val uint64) *box {
 	if a == nil {
-		return &box{val: val, desc: desc}
+		return &box{val: val}
 	}
-	b := a.boxes.New()
-	b.val, b.desc = val, desc
+	b := a.vals.New()
+	b.val = val
 	return b
 }
 
-func (a *arenas) newResp(kind opKind, c *Cell, val uint64, by *opDesc) *response {
+// newDescBox returns a fresh box carrying descriptor d.
+func (a *arenas) newDescBox(d *opDesc) *box {
 	if a == nil {
-		return &response{kind: kind, cell: c, val: val, by: by}
+		return &box{desc: d}
+	}
+	b := a.boxes.New()
+	b.desc = d
+	return b
+}
+
+func (a *arenas) newSeg() *logSeg {
+	if a == nil {
+		return &logSeg{}
+	}
+	return a.segs.New()
+}
+
+func (a *arenas) newResp(kind opKind, c *Cell, val uint64) *response {
+	if a == nil {
+		return &response{kind: kind, cell: c, val: val}
 	}
 	r := a.resps.New()
-	r.kind, r.cell, r.val, r.by = kind, c, val, by
+	r.kind, r.cell, r.val = kind, c, val
 	return r
 }
 
-func (a *arenas) newDesc(x *Exec, op int, kind opKind, newVal uint64, prev *box) *opDesc {
+// descIDs reserves descriptor ids for all processes; see newID.
+var descIDs atomic.Uint64
+
+// idBlock is the number of descriptor ids a process reserves at once.
+const idBlock = 1 << 20
+
+// newID returns a descriptor id that no other descriptor ever had or
+// will have. Ids are never zero.
+func (a *arenas) newID() uint64 {
 	if a == nil {
-		return &opDesc{exec: x, op: op, kind: kind, newVal: newVal, prev: prev}
+		return descIDs.Add(1)
+	}
+	if a.nextID == a.endID {
+		a.endID = descIDs.Add(idBlock) + 1
+		a.nextID = a.endID - idBlock
+	}
+	id := a.nextID
+	a.nextID++
+	return id
+}
+
+func (a *arenas) newDesc(slot *atomic.Pointer[response], kind opKind, newVal uint64, prev *box) *opDesc {
+	if a == nil {
+		return &opDesc{slot: slot, id: a.newID(), kind: kind, newVal: newVal, prev: prev}
 	}
 	d := a.descs.New()
-	d.exec, d.op, d.kind, d.newVal, d.prev = x, op, kind, newVal, prev
+	d.slot, d.id, d.kind, d.newVal, d.prev = slot, a.newID(), kind, newVal, prev
 	return d
 }
 
@@ -157,19 +225,23 @@ type box struct {
 // opDesc is an installed effectful operation (Write or CAS success
 // path) of one Exec.
 type opDesc struct {
-	exec   *Exec
-	op     int
+	slot   *atomic.Pointer[response] // the op's log slot
+	id     uint64                    // unique for all time; see newID
 	kind   opKind
 	newVal uint64
 	prev   *box // box displaced by the installation, for undo
 }
 
-// response is the canonical logged outcome of one operation.
+// response is the canonical logged outcome of one operation. For a
+// Write or a successful CAS, val is the id of the descriptor whose
+// installation took effect. Naming it by id rather than by pointer
+// keeps logs from pointing at descriptors: descriptors point at log
+// slots, and that cycle, run through arena chunks of different ages,
+// would keep every older chunk reachable from the newest.
 type response struct {
 	kind opKind
 	cell *Cell
-	val  uint64 // Read: value read; CAS: 1 = success, 0 = failure
-	by   *opDesc
+	val  uint64 // Read: value read; CAS: 0 = failure, else as Write
 }
 
 // Cell is a shared memory location usable inside idempotent thunks.
@@ -195,7 +267,7 @@ func NewCellIn(e env.Env, v uint64) *Cell {
 		return NewCell(v)
 	}
 	c := a.cells.New()
-	c.p.Store(a.newBox(v, nil))
+	c.p.Store(a.newVal(v))
 	return c
 }
 
@@ -215,7 +287,7 @@ func (c *Cell) Load(e env.Env) uint64 {
 // Store writes the cell from outside any thunk. It helps resolve any
 // installed descriptor first so the write cannot bury one.
 func (c *Cell) Store(e env.Env, v uint64) {
-	nb := arenasOf(e).newBox(v, nil)
+	nb := arenasOf(e).newVal(v)
 	for {
 		e.Step()
 		b := c.p.Load()
@@ -243,7 +315,7 @@ func (c *Cell) CompareAndSwap(e env.Env, old, new uint64) bool {
 			return false
 		}
 		e.Step()
-		if c.p.CompareAndSwap(b, arenasOf(e).newBox(new, nil)) {
+		if c.p.CompareAndSwap(b, arenasOf(e).newVal(new)) {
 			return true
 		}
 	}
@@ -271,14 +343,34 @@ type Thunk interface {
 	RunThunk(r *Run)
 }
 
+// headSlots is the number of response-log slots held inline in every
+// Exec. Measured on 256-slot map shards, single-key Put, Update and
+// Delete run 7–17 operations, 98% of them at most 12, so they almost
+// never leave the head; a two-key Map.Atomic runs 16–23 and takes one
+// segment.
+const headSlots = 12
+
+// segSlots is the number of response-log slots per overflow segment.
+const segSlots = 16
+
+// logSeg is one overflow segment of an Exec's response log. next is
+// written once, by the install CAS of the first run to need it.
+type logSeg struct {
+	slots [segSlots]atomic.Pointer[response]
+	next  atomic.Pointer[logSeg]
+}
+
 // Exec is one logical execution of a thunk, shared by its initiating
 // process and any helpers. All of them call Execute; the combined
 // effect equals exactly one run of the body.
 type Exec struct {
-	body     Body
 	thunk    Thunk
-	log      []atomic.Pointer[response]
+	maxOps   int
 	finished atomic.Bool
+	// head holds the log slots of operations 0..headSlots-1; overflow
+	// links the segments holding the rest, installed on demand.
+	head     [headSlots]atomic.Pointer[response]
+	overflow atomic.Pointer[logSeg]
 }
 
 // NewExec creates an execution of body that performs at most maxOps
@@ -287,26 +379,29 @@ func NewExec(body Body, maxOps int) *Exec {
 	if maxOps < 0 {
 		panic("idem: negative maxOps")
 	}
-	return &Exec{body: body, log: make([]atomic.Pointer[response], maxOps)}
+	return &Exec{thunk: bodyThunk(body), maxOps: maxOps}
 }
 
+// bodyThunk adapts a Body to the Thunk interface.
+type bodyThunk Body
+
+func (b bodyThunk) RunThunk(r *Run) { b(r) }
+
 // NewExecIn creates an execution of frame t performing at most maxOps
-// shared-memory operations, drawing the exec and its response log from
-// e's process arena when available. Exec objects are published to
-// helpers and read at unbounded staleness, so they are never recycled;
-// the arena only amortizes their allocation.
+// shared-memory operations, drawing the exec (and later its overflow
+// segments) from e's process arena when available. Exec objects are
+// published to helpers and read at unbounded staleness, so they are
+// never recycled; the arena only amortizes their allocation.
 func NewExecIn(e env.Env, t Thunk, maxOps int) *Exec {
 	if maxOps < 0 {
 		panic("idem: negative maxOps")
 	}
 	a := arenasOf(e)
 	if a == nil {
-		return &Exec{thunk: t, log: make([]atomic.Pointer[response], maxOps)}
+		return &Exec{thunk: t, maxOps: maxOps}
 	}
 	x := a.execs.New()
-	x.body, x.thunk = nil, t
-	x.log = a.logs.Make(maxOps)
-	x.finished.Store(false)
+	x.thunk, x.maxOps = t, maxOps
 	return x
 }
 
@@ -322,11 +417,7 @@ func (x *Exec) Execute(e env.Env) {
 		r = a.runs.New()
 		*r = Run{e: e, x: x, ar: a}
 	}
-	if x.thunk != nil {
-		x.thunk.RunThunk(r)
-	} else {
-		x.body(r)
-	}
+	x.thunk.RunThunk(r)
 	x.finished.Store(true)
 }
 
@@ -340,26 +431,59 @@ type Run struct {
 	x    *Exec
 	ar   *arenas
 	next int
+	seg  *logSeg // segment holding op next-1 once past the head
 }
 
 // Env exposes the environment, e.g. for step accounting of private
 // work inside the body.
 func (r *Run) Env() env.Env { return r.e }
 
-// logged returns the canonical response for op i if decided.
-func (r *Run) logged(i int) *response {
+// logged returns the canonical response in slot if decided.
+func (r *Run) logged(slot *atomic.Pointer[response]) *response {
 	r.e.Step()
-	return r.x.log[i].Load()
+	return slot.Load()
 }
 
-// slot bounds-checks and claims the next op index.
-func (r *Run) slot() int {
+// slot bounds-checks and claims the next op index, returning it with
+// its log slot.
+func (r *Run) slot() (int, *atomic.Pointer[response]) {
 	i := r.next
-	if i >= len(r.x.log) {
-		panic(fmt.Sprintf("idem: thunk exceeded maxOps=%d", len(r.x.log)))
+	if i >= r.x.maxOps {
+		panic(fmt.Sprintf("idem: thunk exceeded maxOps=%d", r.x.maxOps))
 	}
 	r.next++
-	return i
+	if i < headSlots {
+		return i, &r.x.head[i]
+	}
+	j := (i - headSlots) % segSlots
+	if j == 0 {
+		r.seg = r.nextSeg()
+	}
+	return i, &r.seg.slots[j]
+}
+
+// nextSeg returns the segment after the run's current one (the first
+// overflow segment while the run is still in the head), installing a
+// fresh segment if none is linked yet. Every run adopts whichever
+// segment the link's single successful CAS installed; a run whose CAS
+// lost drops its own segment unwritten.
+func (r *Run) nextSeg() *logSeg {
+	link := &r.x.overflow
+	if r.seg != nil {
+		link = &r.seg.next
+	}
+	r.e.Step()
+	if s := link.Load(); s != nil {
+		return s
+	}
+	s := r.ar.newSeg()
+	r.e.Step()
+	if link.CompareAndSwap(nil, s) {
+		return s
+	}
+	// The link is written once, so this load returns the segment the
+	// failed CAS observed.
+	return link.Load()
 }
 
 // validate panics if a replayed response disagrees with the op being
@@ -375,9 +499,9 @@ func validate(resp *response, kind opKind, c *Cell, i int) {
 // Read performs an idempotent read of c: all runs of the thunk observe
 // the same (first-logged) value.
 func (r *Run) Read(c *Cell) uint64 {
-	i := r.slot()
+	i, slot := r.slot()
 	for {
-		if resp := r.logged(i); resp != nil {
+		if resp := r.logged(slot); resp != nil {
 			validate(resp, opRead, c, i)
 			return resp.val
 		}
@@ -388,8 +512,8 @@ func (r *Run) Read(c *Cell) uint64 {
 			continue
 		}
 		r.e.Step()
-		r.x.log[i].CompareAndSwap(nil, r.ar.newResp(opRead, c, b.val, nil))
-		resp := r.logged(i)
+		slot.CompareAndSwap(nil, r.ar.newResp(opRead, c, b.val))
+		resp := r.logged(slot)
 		validate(resp, opRead, c, i)
 		return resp.val
 	}
@@ -398,9 +522,9 @@ func (r *Run) Read(c *Cell) uint64 {
 // Write performs an idempotent write of v to c: the write takes effect
 // exactly once no matter how many runs execute it.
 func (r *Run) Write(c *Cell, v uint64) {
-	i := r.slot()
+	i, slot := r.slot()
 	for {
-		if resp := r.logged(i); resp != nil {
+		if resp := r.logged(slot); resp != nil {
 			validate(resp, opWrite, c, i)
 			return
 		}
@@ -410,8 +534,8 @@ func (r *Run) Write(c *Cell, v uint64) {
 			resolve(r.e, c, b)
 			continue
 		}
-		d := r.ar.newDesc(r.x, i, opWrite, v, b)
-		db := r.ar.newBox(0, d)
+		d := r.ar.newDesc(slot, opWrite, v, b)
+		db := r.ar.newDescBox(d)
 		r.e.Step()
 		if c.p.CompareAndSwap(b, db) {
 			resolve(r.e, c, db)
@@ -424,11 +548,11 @@ func (r *Run) Write(c *Cell, v uint64) {
 // failure is decided once (by the canonical log) and its effect applies
 // at most once.
 func (r *Run) CAS(c *Cell, old, new uint64) bool {
-	i := r.slot()
+	i, slot := r.slot()
 	for {
-		if resp := r.logged(i); resp != nil {
+		if resp := r.logged(slot); resp != nil {
 			validate(resp, opCAS, c, i)
-			return resp.val == 1
+			return resp.val != 0
 		}
 		r.e.Step()
 		b := c.p.Load()
@@ -440,19 +564,19 @@ func (r *Run) CAS(c *Cell, old, new uint64) bool {
 			// Observed a conflicting value: the op fails, linearized at
 			// this load — unless another run already decided otherwise.
 			r.e.Step()
-			r.x.log[i].CompareAndSwap(nil, r.ar.newResp(opCAS, c, 0, nil))
-			resp := r.logged(i)
+			slot.CompareAndSwap(nil, r.ar.newResp(opCAS, c, 0))
+			resp := r.logged(slot)
 			validate(resp, opCAS, c, i)
-			return resp.val == 1
+			return resp.val != 0
 		}
-		d := r.ar.newDesc(r.x, i, opCAS, new, b)
-		db := r.ar.newBox(0, d)
+		d := r.ar.newDesc(slot, opCAS, new, b)
+		db := r.ar.newDescBox(d)
 		r.e.Step()
 		if c.p.CompareAndSwap(b, db) {
 			resolve(r.e, c, db)
-			resp := r.logged(i)
+			resp := r.logged(slot)
 			validate(resp, opCAS, c, i)
-			return resp.val == 1
+			return resp.val != 0
 		}
 	}
 }
@@ -465,14 +589,13 @@ func (r *Run) CAS(c *Cell, old, new uint64) bool {
 func resolve(e env.Env, c *Cell, db *box) {
 	a := arenasOf(e)
 	d := db.desc
-	slot := &d.exec.log[d.op]
 	e.Step()
-	slot.CompareAndSwap(nil, a.newResp(d.kind, c, 1, d))
+	d.slot.CompareAndSwap(nil, a.newResp(d.kind, c, d.id))
 	e.Step()
-	resp := slot.Load()
+	resp := d.slot.Load()
 	e.Step()
-	if resp.by == d {
-		c.p.CompareAndSwap(db, a.newBox(d.newVal, nil))
+	if resp.kind == d.kind && resp.val == d.id {
+		c.p.CompareAndSwap(db, a.newVal(d.newVal))
 	} else {
 		c.p.CompareAndSwap(db, d.prev)
 	}

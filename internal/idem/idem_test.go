@@ -210,19 +210,32 @@ func TestRacingThunksOnSharedCell(t *testing.T) {
 	}
 }
 
+// TestExceedMaxOpsPanics pins that the maxOps panic fires at operation
+// maxOps+1 exactly, whether the bound falls inside the log's inline
+// head, at its edge, or out in the overflow segments.
 func TestExceedMaxOpsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on op overflow")
+	for _, maxOps := range []int{0, 1, headSlots - 1, headSlots, headSlots + 1,
+		headSlots + segSlots, headSlots + 2*segSlots + 3} {
+		c := NewCell(0)
+		done := 0
+		x := NewExec(func(r *Run) {
+			for {
+				r.Read(c)
+				done++
+			}
+		}, maxOps)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("maxOps=%d: no panic on op overflow", maxOps)
+				}
+			}()
+			x.Execute(env.NewNative(0, 1))
+		}()
+		if done != maxOps {
+			t.Fatalf("maxOps=%d: panicked after %d ops, want %d", maxOps, done, maxOps)
 		}
-	}()
-	e := env.NewNative(0, 1)
-	c := NewCell(0)
-	x := NewExec(func(r *Run) {
-		r.Read(c)
-		r.Read(c)
-	}, 1)
-	x.Execute(e)
+	}
 }
 
 func TestNonDeterministicBodyDetected(t *testing.T) {

@@ -59,7 +59,10 @@ func WithMaxLocks(l int) Option {
 }
 
 // WithMaxCriticalSteps sets T, the maximum number of shared-memory
-// operations any critical section performs. Default 64.
+// operations any critical section performs. Default 64. A generous T
+// costs delay steps only (it scales the known-bounds delays
+// T0 = c·κ²L²T and T1 = c′·κLT), not memory per call: a critical
+// section's response log grows with the operations it actually runs.
 func WithMaxCriticalSteps(t int) Option {
 	return func(c *config) error {
 		if t <= 0 {

@@ -163,6 +163,13 @@ func TestStatsConcurrentWithNewLock(t *testing.T) {
 		WithDelayConstants(1, 1))
 	seed := m.NewLock()
 	c := NewCell(uint64(0))
+	// Each creator counts into its own cell: the creators' fresh locks
+	// do not exclude each other, so a shared counter would lose
+	// increments to concurrent read-modify-writes.
+	var created [creators]*Cell[uint64]
+	for g := range created {
+		created[g] = NewCell(uint64(0))
+	}
 
 	var wg sync.WaitGroup
 	// Creators grow the lock registry...
@@ -175,7 +182,7 @@ func TestStatsConcurrentWithNewLock(t *testing.T) {
 				// ...and immediately use the fresh lock once, so Stats
 				// can observe counters mid-flight.
 				if err := m.Do([]*Lock{l}, 2, func(tx *Tx) {
-					Put(tx, c, Get(tx, c)+1)
+					Put(tx, created[g], Get(tx, created[g])+1)
 				}); err != nil {
 					t.Error(err)
 					return
@@ -224,7 +231,11 @@ func TestStatsConcurrentWithNewLock(t *testing.T) {
 	if len(s.Locks) != want {
 		t.Fatalf("registry has %d locks, want %d", len(s.Locks), want)
 	}
-	if got := Load(m, c); got != s.Wins {
-		t.Fatalf("counter = %d, wins = %d", got, s.Wins)
+	got := Load(m, c)
+	for _, cc := range created {
+		got += Load(m, cc)
+	}
+	if got != s.Wins {
+		t.Fatalf("counters sum to %d, wins = %d", got, s.Wins)
 	}
 }

@@ -473,3 +473,120 @@ func TestMapAllocs(t *testing.T) {
 		t.Fatalf("Put averages %.2f allocs/op, want < 0.5", avgPut)
 	}
 }
+
+// bytesPerRun reports the heap bytes f allocates per call, averaged
+// over runs calls and measured through runtime.MemStats.TotalAlloc, so
+// arena chunks count in full when they are carved.
+func bytesPerRun(runs int, f func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestMapAllocsBytes is the byte-side companion of TestMapAllocs: a
+// steady-state Put on a 256-slot shard pays for the operations its
+// critical section runs, not for a response log sized by the shard's
+// probe bound.
+func TestMapAllocsBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
+	}
+	m := newManager(t, WithUnknownBounds(4), WithMaxLocks(1),
+		WithMaxCriticalSteps(MapCriticalSteps(256, 1, 1)))
+	mp, err := NewMap[uint64, uint64](m, WithShardCapacity(256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 512; i++ {
+		if err := mp.Put(uint64(i%64), uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := bytesPerRun(4096, func() {
+		if err := mp.Put(42, 7); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if b >= 1024 {
+		t.Fatalf("Put averages %.0f B/op, want < 1024", b)
+	}
+}
+
+// TestDoAllocsBytesFlatInT pins that a generous T costs no memory per
+// call: Do with a 4096-operation budget allocates within 10% of Do with
+// a 64-operation budget when both run the same two-operation body.
+func TestDoAllocsBytesFlatInT(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
+	}
+	perCall := func(maxOps int) float64 {
+		m := newManager(t, WithUnknownBounds(4), WithMaxCriticalSteps(maxOps))
+		locks := []*Lock{m.NewLock()}
+		c := NewCell(uint64(0))
+		body := func(tx *Tx) {
+			Put(tx, c, Get(tx, c)+1)
+		}
+		do := func() {
+			if err := m.Do(locks, maxOps, body); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 512; i++ {
+			do()
+		}
+		return bytesPerRun(8192, do)
+	}
+	small, large := perCall(64), perCall(4096)
+	if large > 1.1*small {
+		t.Fatalf("Do allocates %.0f B/op at T=4096 vs %.0f B/op at T=64, want within 10%%", large, small)
+	}
+}
+
+// TestMapAllocsRetained pins what a single writer's Puts leave
+// reachable: after 200k overwrites of a prefilled 16x256 map and a full
+// GC, the live heap may grow by only a few bytes per Put. Committed
+// values live in their own arena chunks, so a cell's current value
+// cannot pin descriptor history.
+func TestMapAllocsRetained(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
+	}
+	const keys, puts = 2048, 200_000
+	m := newManager(t, WithUnknownBounds(4), WithMaxLocks(1),
+		WithMaxCriticalSteps(MapCriticalSteps(256, 1, 1)))
+	mp, err := NewMap[uint64, uint64](m, WithShards(16), WithShardCapacity(256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < keys; k++ {
+		if err := mp.Put(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := live()
+	for i := uint64(0); i < puts; i++ {
+		if err := mp.Put(i*7919%keys, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := live()
+	runtime.KeepAlive(mp)
+	var perPut float64
+	if after > before {
+		perPut = float64(after-before) / puts
+	}
+	if perPut >= 64 {
+		t.Fatalf("retained %.1f B/Put after GC, want < 64", perPut)
+	}
+	t.Logf("retained %.1f B/Put", perPut)
+}
