@@ -254,14 +254,9 @@ func (c *Cache[K, V]) cutoff() uint64 {
 	return c.now()
 }
 
-// do runs a critical section on shard si's lock. Construction validated
-// the budget against the manager's bounds, so the only errors Lock
-// could report here are impossible; surface them as panics rather than
-// forcing an error return on every cache access.
+// do runs a critical section on shard si's lock.
 func (c *Cache[K, V]) do(p *Process, si int, body func(*Tx)) {
-	if _, err := c.m.Lock(p, []*Lock{c.locks[si]}, c.opBudget, body); err != nil {
-		panic("wflocks: Cache: " + err.Error())
-	}
+	c.m.mustLock(p, "Cache", c.locks[si:si+1], c.opBudget, body)
 }
 
 // moveToFront makes bucket i the most-recently-used entry of its

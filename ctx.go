@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"runtime"
 	"time"
+
+	"wflocks/internal/idem"
 )
 
 // RetryPolicy decides how an acquisition waits between failed attempts.
@@ -87,22 +89,39 @@ func (m *Manager) Do(locks []*Lock, maxOps int, body func(*Tx)) error {
 // never runs after DoCtx returns; a nil return means exactly one
 // winning attempt executed it.
 func (m *Manager) DoCtx(ctx context.Context, locks []*Lock, maxOps int, body func(*Tx)) error {
-	if err := m.validateCall(locks, maxOps); err != nil {
-		return err
-	}
 	p := m.Acquire()
 	defer m.Release(p)
-	_, err := m.retryLoop(ctx, p, locks, maxOps, body)
+	_, err := m.LockCtx(ctx, p, locks, maxOps, body)
 	return err
 }
 
-// retryLoop is the one retry implementation behind Do, DoCtx, Lock and
-// LockCtx: tryLock under p until an attempt wins, applying the
-// manager's RetryPolicy between failures and checking ctx before each
-// attempt. It returns the number of attempts used by a win, or the
-// failed attempt count wrapped in an ErrCanceled error. The caller has
-// already validated the arguments.
-func (m *Manager) retryLoop(ctx context.Context, p *Process, locks []*Lock, maxOps int, body func(*Tx)) (int, error) {
+// mustLock is the acquisition path of the structures' body-closure
+// critical sections. Construction validated each structure's budgets
+// against the manager's bounds, so a validation error here is a
+// misconfiguration the structure cannot report through its API; it
+// panics, naming the structure, instead of forcing an error return on
+// every operation. This is the one panic site for acquisitions.
+func (m *Manager) mustLock(p *Process, who string, locks []*Lock, maxOps int, body func(*Tx)) {
+	if err := m.validateCall(locks, maxOps); err != nil {
+		panic("wflocks: " + who + ": " + err.Error())
+	}
+	// Background is never done, so the loop always ends in a win.
+	m.retryLoop(context.Background(), p, locks, maxOps, p.bodyFrame(body))
+}
+
+// retryLoop is the one retry implementation behind every acquisition
+// (Do, DoCtx, Lock, LockCtx, the structures' mustLock and their
+// allocation-free frame paths): tryLockThunk under p until an attempt
+// wins, applying the manager's RetryPolicy between failures and
+// checking ctx before each attempt. It returns the number of attempts
+// used by a win, or the failed attempt count wrapped in an ErrCanceled
+// error. The caller has already validated the arguments.
+//
+// Every attempt reuses thunk t. That is safe because t's parameters
+// are immutable once prepared and each attempt builds a fresh exec
+// over it: a losing exec's body never runs, so only the winning exec's
+// (identical) parameters ever take effect.
+func (m *Manager) retryLoop(ctx context.Context, p *Process, locks []*Lock, maxOps int, t idem.Thunk) (int, error) {
 	var t0 time.Time
 	if m.rec != nil {
 		t0 = time.Now()
@@ -111,7 +130,7 @@ func (m *Manager) retryLoop(ctx context.Context, p *Process, locks []*Lock, maxO
 		if err := ctx.Err(); err != nil {
 			return attempt - 1, fmt.Errorf("%w after %d attempts: %w", ErrCanceled, attempt-1, err)
 		}
-		if m.tryLock(p, locks, maxOps, body) {
+		if m.tryLockThunk(p, locks, maxOps, t) {
 			if m.rec != nil {
 				m.rec.RecAcquire(p.Pid(), uint64(time.Since(t0)))
 			}

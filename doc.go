@@ -152,8 +152,11 @@
 // element and migrates a small batch to the home shard. Ordering is
 // FIFO per shard only; that is the deliberate price of submit
 // throughput that scales with the shard count and stalls confined to
-// one shard. Queue is for order-bearing streams, WorkPool for
-// pipelines (see examples/pipeline).
+// one shard. Queue is exactly the one-shard WorkPool: a thin type
+// that pins the single shard, which is what gives it global FIFO
+// order and a budget of QueueCriticalSteps (one shard never steals).
+// Queue is for order-bearing streams, WorkPool for pipelines (see
+// examples/pipeline).
 //
 // # Broadcast logs and fan-out
 //
@@ -198,8 +201,8 @@
 // no capacity term — a worst-case item is ticket reads, a slot write,
 // a sequence write and counter updates (2·valueWords + a small
 // constant), times the batch size, plus fixed routing overhead.
-// WorkPoolCriticalSteps is the same formula with the batch floored at
-// the steal section's cost (one dequeue plus stealBatch
+// WorkPoolCriticalSteps, the multi-shard pool's bound, is the same
+// formula with the batch floored at the steal section's cost (one dequeue plus stealBatch
 // dequeue/enqueue migration pairs). LogCriticalSteps carries two new
 // terms the log's shape forces in: the in-section reclaim scans every
 // consumer slot's position for the minimum (a `consumers` term — the

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"wflocks/internal/arena"
 	"wflocks/internal/idem"
@@ -329,41 +328,13 @@ func (l *Log[T]) Cap() int { return len(l.rings) * l.rings[0].capacity }
 func (l *Log[T]) Segment() int { return l.segment }
 
 // do runs a critical section on shard s's lock; doPair runs one on a
-// prepared {shard, cursor} lock pair. Construction validated the
-// budgets against the manager's bounds, so the only errors Lock could
-// report here are impossible; surface them as panics, as in the other
-// structures.
+// prepared {shard, cursor} lock pair.
 func (l *Log[T]) do(p *Process, s, maxOps int, body func(*Tx)) {
-	if _, err := l.m.Lock(p, []*Lock{l.locks[s]}, maxOps, body); err != nil {
-		panic("wflocks: Log: " + err.Error())
-	}
+	l.m.mustLock(p, "Log", l.locks[s:s+1], maxOps, body)
 }
 
 func (l *Log[T]) doPair(p *Process, pair []*Lock, maxOps int, body func(*Tx)) {
-	if _, err := l.m.Lock(p, pair, maxOps, body); err != nil {
-		panic("wflocks: Log: " + err.Error())
-	}
-}
-
-// lockFrameSet acquires a prepared lock set and runs frame t to
-// completion, retrying failed attempts under the manager's
-// RetryPolicy: the multi-lock sibling of lockFrame, used by the log's
-// two-lock cursor-advance fast path. Each retry creates a fresh exec
-// over the same frame, which is safe: a lost exec's body never runs.
-func (m *Manager) lockFrameSet(p *Process, locks []*Lock, maxOps int, t idem.Thunk) {
-	var t0 time.Time
-	if m.rec != nil {
-		t0 = time.Now()
-	}
-	for attempt := 1; ; attempt++ {
-		if m.tryLockThunk(p, locks, maxOps, t) {
-			if m.rec != nil {
-				m.rec.RecAcquire(p.Pid(), uint64(time.Since(t0)))
-			}
-			return
-		}
-		m.retry.Wait(context.Background(), attempt)
-	}
+	l.m.mustLock(p, "Log", pair, maxOps, body)
 }
 
 // reclaimSegment frees at most one fully-consumed segment of shard s
@@ -501,7 +472,7 @@ func (l *Log[T]) tryAppendShard(p *Process, s int, v T) bool {
 	if l.scalarV != nil {
 		f := logFrameFor[T](p)
 		f.lg, f.s, f.op, f.v = l, s, lopAppend, v
-		l.m.lockFrame(p, l.locks[s], l.opBudget, f)
+		l.m.retryLoop(context.Background(), p, l.locks[s:s+1], l.opBudget, f)
 		return f.resBits.Load()&lresOK != 0
 	}
 	ok := NewBoolCell(false)
@@ -691,7 +662,7 @@ func (l *Log[T]) trim(retain uint64, clamp bool) int {
 }
 
 // Len reports the number of retained entries: the sum of the shards'
-// lock-free occupancy reads, with Queue.Len's consistency caveat.
+// lock-free occupancy reads, with qring.lenWith's consistency caveat.
 func (l *Log[T]) Len() int {
 	p := l.m.Acquire()
 	defer l.m.Release(p)
@@ -811,7 +782,7 @@ func (c *Cursor[T]) tryNextWith(p *Process) (T, bool) {
 		if l.scalarV != nil {
 			f := logFrameFor[T](p)
 			f.lg, f.slot, f.s, f.op = l, slot, s, lopNext
-			l.m.lockFrameSet(p, slot.pairs[s], l.opBudget, f)
+			l.m.retryLoop(context.Background(), p, slot.pairs[s], l.opBudget, f)
 			if f.resBits.Load()&lresOK != 0 {
 				return l.scalarV.DecodeWord(f.resWord.Load()), true
 			}

@@ -1,6 +1,7 @@
 package wflocks
 
 import (
+	"context"
 	"fmt"
 	"iter"
 	"runtime"
@@ -174,14 +175,9 @@ func (mp *Map[K, V]) ShardCapacity() int { return mp.eng.Capacity() }
 
 // do runs a single-shard critical section on shard si's lock under the
 // caller's pooled handle (one Acquire covers the lock retries and the
-// result-cell reads that follow). Construction validated the budget
-// against the manager's bounds, so the only error Lock can report here
-// is impossible; it is surfaced as a panic rather than forcing an
-// error return on every read path.
+// result-cell reads that follow).
 func (mp *Map[K, V]) do(p *Process, si int, body func(*Tx)) {
-	if _, err := mp.m.Lock(p, []*Lock{mp.locks[si]}, mp.opBudget, body); err != nil {
-		panic("wflocks: Map: " + err.Error())
-	}
+	mp.m.mustLock(p, "Map", mp.locks[si:si+1], mp.opBudget, body)
 }
 
 // Get reports the value stored for k.
@@ -209,7 +205,7 @@ func (mp *Map[K, V]) Get(k K) (V, bool) {
 	}
 	if mp.scalarV != nil {
 		f := mp.frame(p, mopGet, sh, h, home, k)
-		mp.m.lockFrame(p, mp.locks[si], mp.opBudget, f)
+		mp.m.retryLoop(context.Background(), p, mp.locks[si:si+1], mp.opBudget, f)
 		if f.resBits.Load()&mresFound == 0 {
 			return zero, false
 		}
@@ -242,7 +238,7 @@ func (mp *Map[K, V]) Put(k K, v V) error {
 	defer mp.m.Release(p)
 	f := mp.frame(p, mopPut, sh, h, home, k)
 	f.v = v
-	mp.m.lockFrame(p, mp.locks[si], mp.opBudget, f)
+	mp.m.retryLoop(context.Background(), p, mp.locks[si:si+1], mp.opBudget, f)
 	if f.resBits.Load()&mresFull != 0 {
 		return fmt.Errorf("%w: shard %d at capacity %d", ErrMapFull, si, mp.eng.Capacity())
 	}
@@ -259,7 +255,7 @@ func (mp *Map[K, V]) Delete(k K) bool {
 	p := mp.m.Acquire()
 	defer mp.m.Release(p)
 	f := mp.frame(p, mopDelete, sh, h, home, k)
-	mp.m.lockFrame(p, mp.locks[si], mp.opBudget, f)
+	mp.m.retryLoop(context.Background(), p, mp.locks[si:si+1], mp.opBudget, f)
 	return f.resBits.Load()&mresFound != 0
 }
 
@@ -287,7 +283,7 @@ func (mp *Map[K, V]) Update(k K, fn func(old V, ok bool) (V, bool)) error {
 	defer mp.m.Release(p)
 	f := mp.frame(p, mopUpdate, sh, h, home, k)
 	f.fn = fn
-	mp.m.lockFrame(p, mp.locks[si], mp.opBudget, f)
+	mp.m.retryLoop(context.Background(), p, mp.locks[si:si+1], mp.opBudget, f)
 	if f.resBits.Load()&mresFull != 0 {
 		return fmt.Errorf("%w: shard %d at capacity %d", ErrMapFull, si, mp.eng.Capacity())
 	}

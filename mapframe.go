@@ -1,12 +1,9 @@
 package wflocks
 
 import (
-	"context"
 	"sync/atomic"
-	"time"
 
 	"wflocks/internal/arena"
-	"wflocks/internal/core"
 	"wflocks/internal/idem"
 	"wflocks/internal/table"
 )
@@ -23,7 +20,9 @@ import (
 // always reads the parameters its exec was created with — and results
 // are published through atomic fields on the frame. Every run of the
 // body derives identical results from the canonical response log, so
-// the concurrent stores are race-free in effect (see idem.Body).
+// the concurrent stores are race-free in effect (see idem.Body). The
+// frame is an idem.Thunk, so callers hand it straight to retryLoop,
+// whose attempts all share it.
 
 // mapFrame operation kinds.
 const (
@@ -128,31 +127,4 @@ func (mp *Map[K, V]) frame(p *Process, op uint8, sh *table.Shard, h uint64, home
 	f := mapFrameFor[K, V](p)
 	f.mp, f.sh, f.h, f.home, f.k, f.op = mp, sh, h, home, k, op
 	return f
-}
-
-// lockFrame acquires a single lock and runs frame t to completion,
-// retrying failed attempts under the manager's RetryPolicy. Each retry
-// creates a fresh exec over the same frame, which is safe: a lost
-// exec's body never runs, so only the winning exec's (identical)
-// parameters ever take effect.
-func (m *Manager) lockFrame(p *Process, l *Lock, maxOps int, t idem.Thunk) {
-	if cap(p.lockBuf) < 1 {
-		p.lockBuf = make([]*core.Lock, 1)
-	}
-	locks := p.lockBuf[:1]
-	locks[0] = l.inner
-	var t0 time.Time
-	if m.rec != nil {
-		t0 = time.Now()
-	}
-	for attempt := 1; ; attempt++ {
-		thunk := idem.NewExecIn(p.env, t, maxOps)
-		if m.sys.TryLocks(p.env, locks, thunk) {
-			if m.rec != nil {
-				m.rec.RecAcquire(p.Pid(), uint64(time.Since(t0)))
-			}
-			return
-		}
-		m.retry.Wait(context.Background(), attempt)
-	}
 }

@@ -1,9 +1,9 @@
 package wflocks
 
 // This file holds the shared bounded-ring protocol: the cell-resident
-// state and step helpers that Queue (one ring, one lock), WorkPool (one
-// ring per shard, two-lock steals) and Log (one ring per shard,
-// broadcast cursors) all build on. The ring owns everything a lock
+// state and step helpers that WorkPool (one ring per shard, two-lock
+// steals; a Queue is its one-shard case) and Log (one ring per shard,
+// broadcast cursors) build on. The ring owns everything a lock
 // protects; the owner brings the locking.
 
 // qring is the cell-resident state of one bounded ring: monotone
@@ -148,7 +148,9 @@ func (r *qring[T]) reclaim(tx *Tx, upto uint64, max int) int {
 }
 
 // lenWith reads the ring's occupancy lock-free under an existing
-// process handle (see Queue.Len for the consistency caveat).
+// process handle. Under live traffic the two tickets are read at
+// slightly different instants, so the difference can be momentarily
+// skewed (it is clamped to [0, capacity]); at quiescence it is exact.
 func (r *qring[T]) lenWith(p *Process) int {
 	t := r.tail.Get(p)
 	h := r.head.Get(p)

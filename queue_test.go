@@ -312,6 +312,72 @@ func TestQueueConcurrentConservation(t *testing.T) {
 	}
 }
 
+// TestQueueConcurrentFIFO checks the global FIFO guarantee under
+// concurrency: each producer enqueues its own increasing sequence, so
+// every consumer must see each producer's values in strictly
+// increasing order, whatever the interleaving.
+func TestQueueConcurrentFIFO(t *testing.T) {
+	const (
+		producers = 3
+		consumers = 3
+		perProd   = 200
+	)
+	m := queueManager(t, producers+consumers, 4)
+	q, err := NewQueue[uint64](m, WithQueueCapacity(16), WithQueueBatch(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	// Values are producer<<32 | sequence, sequences starting at 1.
+	var wantSum, gotSum, consumed atomic.Uint64
+	var wg sync.WaitGroup
+	for w := 0; w < producers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 1; i <= perProd; i++ {
+				v := uint64(w)<<32 | uint64(i)
+				wantSum.Add(v)
+				if err := q.Enqueue(ctx, v); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	const total = producers * perProd
+	for c := 0; c < consumers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var last [producers]uint64
+			for consumed.Load() < total {
+				v, ok := q.TryDequeue()
+				if !ok {
+					runtime.Gosched()
+					continue
+				}
+				w, seq := v>>32, v&(1<<32-1)
+				if seq <= last[w] {
+					t.Errorf("producer %d: sequence %d dequeued after %d (FIFO violated)", w, seq, last[w])
+					return
+				}
+				last[w] = seq
+				gotSum.Add(v)
+				consumed.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if gotSum.Load() != wantSum.Load() {
+		t.Fatalf("conservation violated: consumed sum %d, produced sum %d", gotSum.Load(), wantSum.Load())
+	}
+}
+
 func TestQueueOptionValidation(t *testing.T) {
 	m := queueManager(t, 2, 8)
 	if _, err := NewQueue[uint64](m, WithQueueCapacity(0)); err == nil {

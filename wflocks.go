@@ -119,7 +119,7 @@ func (l *Lock) ID() int { return l.inner.ID() }
 type Process struct {
 	env *env.Native
 
-	// frames is the bump arena for per-attempt thunk frames. Frames
+	// frames is the bump arena for per-call thunk frames. Frames
 	// are read by helpers at unbounded staleness, so they are never
 	// recycled; the arena abandons full chunks (internal/arena).
 	frames arena.Arena[txFrame]
@@ -157,10 +157,18 @@ type Tx struct {
 
 // txFrame adapts a user body to idem.Thunk without a per-attempt
 // closure allocation. A fresh frame is drawn from the owner's arena
-// for every attempt — helpers may re-read a frame long after the
-// attempt ended, so frames are never reused (see internal/arena).
+// for every call and shared by that call's attempts — helpers may
+// re-read a frame long after the call ended, so frames are never
+// reused across calls (see internal/arena).
 type txFrame struct {
 	body func(*Tx)
+}
+
+// bodyFrame draws a fresh frame for body from p's arena.
+func (p *Process) bodyFrame(body func(*Tx)) *txFrame {
+	f := p.frames.New()
+	f.body = body
+	return f
 }
 
 // RunThunk implements idem.Thunk. It runs on the owner's and any
@@ -199,14 +207,7 @@ func (m *Manager) TryLock(p *Process, locks []*Lock, maxOps int, body func(*Tx))
 	if err := m.validateCall(locks, maxOps); err != nil {
 		return false, err
 	}
-	return m.tryLock(p, locks, maxOps, body), nil
-}
-
-// tryLock runs one validated attempt.
-func (m *Manager) tryLock(p *Process, locks []*Lock, maxOps int, body func(*Tx)) bool {
-	f := p.frames.New()
-	f.body = body
-	return m.tryLockThunk(p, locks, maxOps, f)
+	return m.tryLockThunk(p, locks, maxOps, p.bodyFrame(body)), nil
 }
 
 // tryLockThunk runs one validated attempt with a prepared thunk frame.
@@ -242,7 +243,7 @@ func (m *Manager) LockCtx(ctx context.Context, p *Process, locks []*Lock, maxOps
 	if err := m.validateCall(locks, maxOps); err != nil {
 		return 0, err
 	}
-	return m.retryLoop(ctx, p, locks, maxOps, body)
+	return m.retryLoop(ctx, p, locks, maxOps, p.bodyFrame(body))
 }
 
 // validateCall audits an acquisition's arguments against the manager's

@@ -3,7 +3,6 @@ package wflocks
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"wflocks/internal/stats"
@@ -11,8 +10,8 @@ import (
 )
 
 // WorkPool is a sharded relaxed-FIFO work-distribution queue: a
-// power-of-two number of bounded sub-rings (each a Queue-style ring
-// guarded by its own wait-free lock), with round-robin submission and
+// power-of-two number of bounded sub-rings (each a qring guarded by
+// its own wait-free lock), with round-robin submission and
 // two-lock work stealing. Producers spread across shards, so submit
 // throughput scales with the shard count the way Map and Cache
 // operations do — per-lock contention drops toward κ/shards and every
@@ -29,7 +28,7 @@ import (
 // across shards, and a stolen batch jumps behind the home shard's
 // existing elements. Use WorkPool when elements are independent work
 // items (the common pool case) and Queue when cross-element order
-// matters.
+// matters. A Queue is exactly a one-shard WorkPool.
 //
 // Construct with NewWorkPool (integer elements) or NewWorkPoolOf
 // (explicit codec). A pool with more than one shard needs a manager
@@ -119,8 +118,9 @@ func WithPoolBatch(n int) WorkPoolOption {
 }
 
 // WorkPoolCriticalSteps returns the WithMaxCriticalSteps bound T a
-// Manager needs to host a WorkPool with the given element width and
-// batch size (WithPoolBatch). The pool's worst critical section is
+// Manager needs to host a multi-shard WorkPool with the given element
+// width and batch size (WithPoolBatch). The pool's worst critical
+// section is
 // either a batch (batch element moves, as in QueueCriticalSteps) or a
 // steal — one dequeue for the caller plus stealBatch ring-to-ring
 // migrations, each a dequeue/enqueue pair — whichever budgets larger.
@@ -142,9 +142,10 @@ func NewWorkPool[T Integer](m *Manager, opts ...WorkPoolOption) (*WorkPool[T], e
 // NewWorkPoolOf creates a pool whose elements are encoded by the given
 // codec. The manager's WithMaxCriticalSteps bound must cover the
 // pool's worst critical section — WorkPoolCriticalSteps computes the
-// requirement — and, for a pool of more than one shard, WithMaxLocks
-// must be at least 2 (the steal path acquires two shard locks in one
-// attempt); either shortfall is reported as an error.
+// requirement, or QueueCriticalSteps for a one-shard pool — and, for a
+// pool of more than one shard, WithMaxLocks must be at least 2 (the
+// steal path acquires two shard locks in one attempt); either
+// shortfall is reported as an error.
 func NewWorkPoolOf[T any](m *Manager, vc Codec[T], opts ...WorkPoolOption) (*WorkPool[T], error) {
 	cfg := poolConfig{shards: defaultPoolShards, capacity: defaultPoolCapacity, batch: defaultPoolBatch}
 	for _, o := range opts {
@@ -152,17 +153,26 @@ func NewWorkPoolOf[T any](m *Manager, vc Codec[T], opts ...WorkPoolOption) (*Wor
 			return nil, err
 		}
 	}
+	return newWorkPool(m, vc, cfg, "NewWorkPoolOf")
+}
+
+// newWorkPool validates cfg against the manager's bounds and builds
+// the pool; who names the public constructor in errors.
+func newWorkPool[T any](m *Manager, vc Codec[T], cfg poolConfig, who string) (*WorkPool[T], error) {
 	if cfg.shards > 1 && m.cfg.maxLocks < 2 {
 		return nil, fmt.Errorf(
-			"wflocks: NewWorkPoolOf: %d shards need the two-lock steal path; configure the manager with WithMaxLocks(2) or use one shard",
-			cfg.shards)
+			"wflocks: %s: %d shards need the two-lock steal path; configure the manager with WithMaxLocks(2) or use one shard",
+			who, cfg.shards)
 	}
-	budget := WorkPoolCriticalSteps(vc.Words(), cfg.batch)
+	budget, budgetFn := WorkPoolCriticalSteps(vc.Words(), cfg.batch), "WorkPoolCriticalSteps"
+	if cfg.shards == 1 {
+		budget, budgetFn = QueueCriticalSteps(vc.Words(), cfg.batch), "QueueCriticalSteps"
+	}
 	if budget > m.cfg.maxCritical {
 		return nil, fmt.Errorf(
-			"wflocks: NewWorkPoolOf: batch %d with %d-word elements needs WithMaxCriticalSteps(%d), "+
-				"manager has %d (see WorkPoolCriticalSteps)",
-			cfg.batch, vc.Words(), budget, m.cfg.maxCritical)
+			"wflocks: %s: batch %d with %d-word elements needs WithMaxCriticalSteps(%d), "+
+				"manager has %d (see %s)",
+			who, cfg.batch, vc.Words(), budget, m.cfg.maxCritical, budgetFn)
 	}
 	perShard := table.CeilPow2((cfg.capacity + cfg.shards - 1) / cfg.shards)
 	wp := &WorkPool[T]{
@@ -192,22 +202,18 @@ func (wp *WorkPool[T]) Shards() int { return len(wp.rings) }
 func (wp *WorkPool[T]) Cap() int { return len(wp.rings) * wp.rings[0].capacity }
 
 // do runs a critical section on shard si's lock; doSteal runs one on a
-// home/victim lock pair. Construction validated the budgets, so errors
-// here are impossible and surface as panics, as in the other
-// structures.
+// home/victim lock pair, in canonical (lock ID) order as the
+// transaction layer sorts.
 func (wp *WorkPool[T]) do(p *Process, si, maxOps int, body func(*Tx)) {
-	if _, err := wp.m.Lock(p, []*Lock{wp.locks[si]}, maxOps, body); err != nil {
-		panic("wflocks: WorkPool: " + err.Error())
-	}
+	wp.m.mustLock(p, "WorkPool", wp.locks[si:si+1], maxOps, body)
 }
 
 func (wp *WorkPool[T]) doSteal(p *Process, home, victim int, body func(*Tx)) {
 	pair := []*Lock{wp.locks[home], wp.locks[victim]}
-	// Canonical acquisition order, as the transaction layer sorts.
-	sort.Slice(pair, func(i, j int) bool { return pair[i].ID() < pair[j].ID() })
-	if _, err := wp.m.Lock(p, pair, wp.stealBudget, body); err != nil {
-		panic("wflocks: WorkPool: " + err.Error())
+	if pair[1].ID() < pair[0].ID() {
+		pair[0], pair[1] = pair[1], pair[0]
 	}
+	wp.m.mustLock(p, "WorkPool", pair, wp.stealBudget, body)
 }
 
 // TryEnqueue submits v to the next shard in round-robin order, probing
@@ -436,8 +442,9 @@ func (wp *WorkPool[T]) EnqueueBatch(ctx context.Context, vs []T) (int, error) {
 
 // DequeueBatch pops up to max elements, waiting only until the first
 // is available: shards are scanned in round-robin order and drained in
-// WithPoolBatch-sized atomic chunks until the scan comes up empty or
-// max is reached. The scan visits every shard, so the batch path needs
+// WithPoolBatch-sized atomic chunks until max is reached or a pass
+// fills no shard's chunk (every shard came up short, so it ran dry at
+// that instant). The scan visits every shard, so the batch path needs
 // no steal. Elements within one chunk preserve their shard's FIFO
 // order; chunks from different shards interleave (relaxed FIFO). It
 // returns an error wrapping ErrCanceled — with whatever was dequeued —
@@ -455,7 +462,7 @@ func (wp *WorkPool[T]) DequeueBatch(ctx context.Context, max int) ([]T, error) {
 		if err := ctx.Err(); err != nil {
 			return got, fmt.Errorf("%w: %d of %d dequeued: %w", ErrCanceled, len(got), max, err)
 		}
-		movedThisPass := 0
+		filled := false // some shard's chunk came back full
 		start := wp.dq.Add(1) - 1
 		for j := 0; j < len(wp.rings) && len(got) < max; j++ {
 			si := int((start + uint64(j)) & wp.shardMask)
@@ -484,9 +491,9 @@ func (wp *WorkPool[T]) DequeueBatch(ctx context.Context, max int) ([]T, error) {
 			for i := 0; i < moved; i++ {
 				got = append(got, outs[i].Get(p))
 			}
-			movedThisPass += moved
+			filled = filled || moved == want
 		}
-		if movedThisPass == 0 {
+		if !filled {
 			if len(got) > 0 {
 				return got, nil
 			}
@@ -499,7 +506,7 @@ func (wp *WorkPool[T]) DequeueBatch(ctx context.Context, max int) ([]T, error) {
 }
 
 // Len reports the number of pooled elements: the sum of the shards'
-// lock-free occupancy reads, with Queue.Len's consistency caveat
+// lock-free occupancy reads, with qring.lenWith's consistency caveat
 // (each shard is read at a slightly different instant).
 func (wp *WorkPool[T]) Len() int {
 	p := wp.m.Acquire()
@@ -556,17 +563,7 @@ func (wp *WorkPool[T]) Stats() WorkPoolStats {
 	ps := WorkPoolStats{Shards: make([]WorkPoolShardStats, len(wp.rings))}
 	enqs := make([]uint64, len(wp.rings))
 	for s := range wp.rings {
-		ring := &wp.rings[s]
-		a, w, h := wp.locks[s].inner.Counters()
-		st := WorkPoolShardStats{
-			Lock:         LockStats{ID: wp.locks[s].ID(), Attempts: a, Wins: w, Helps: h},
-			Enqueues:     ring.enqs.Get(p),
-			Dequeues:     ring.deqs.Get(p),
-			Steals:       wp.steals[s].Get(p),
-			FullRejects:  ring.fulls.Get(p),
-			EmptyRejects: ring.empties.Get(p),
-			Len:          ring.lenWith(p),
-		}
+		st := wp.shardStats(p, s)
 		ps.Shards[s] = st
 		ps.Enqueues += st.Enqueues
 		ps.Dequeues += st.Dequeues
@@ -580,4 +577,19 @@ func (wp *WorkPool[T]) Stats() WorkPoolStats {
 	ps.Balance = d.Jain
 	ps.MaxOverMean = d.MaxOverMean
 	return ps
+}
+
+// shardStats snapshots shard s's counters and occupancy under p.
+func (wp *WorkPool[T]) shardStats(p *Process, s int) WorkPoolShardStats {
+	ring := &wp.rings[s]
+	a, w, h := wp.locks[s].inner.Counters()
+	return WorkPoolShardStats{
+		Lock:         LockStats{ID: wp.locks[s].ID(), Attempts: a, Wins: w, Helps: h},
+		Enqueues:     ring.enqs.Get(p),
+		Dequeues:     ring.deqs.Get(p),
+		Steals:       wp.steals[s].Get(p),
+		FullRejects:  ring.fulls.Get(p),
+		EmptyRejects: ring.empties.Get(p),
+		Len:          ring.lenWith(p),
+	}
 }

@@ -170,6 +170,48 @@ func TestWorkPoolValidation(t *testing.T) {
 	if _, err := NewWorkPool[uint64](small); err == nil {
 		t.Fatal("pool accepted against a 1-item budget")
 	}
+	// A one-shard pool never steals, so the Queue budget covers it.
+	qm, err := New(WithKappa(2), WithMaxLocks(1),
+		WithMaxCriticalSteps(QueueCriticalSteps(1, 8)), WithDelayConstants(1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewWorkPool[uint64](qm, WithPoolShards(1), WithPoolBatch(8)); err != nil {
+		t.Fatalf("one-shard pool rejected on a QueueCriticalSteps budget: %v", err)
+	}
+}
+
+// TestWorkPoolDequeueBatchSinglePass pins DequeueBatch's stop rule: a
+// pass in which every shard's chunk came up short ends the call, so
+// draining 3 elements from 2 shards takes one pass — one acquisition
+// and one empty observation per shard — not a second, all-empty pass.
+func TestWorkPoolDequeueBatchSinglePass(t *testing.T) {
+	m := poolManager(t, 2, 4)
+	wp, err := NewWorkPool[uint64](m,
+		WithPoolShards(2), WithPoolCapacity(32), WithPoolBatch(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := uint64(1); v <= 3; v++ {
+		if !wp.TryEnqueue(v) {
+			t.Fatalf("TryEnqueue(%d) failed", v)
+		}
+	}
+	got, err := wp.DequeueBatch(context.Background(), 100)
+	if err != nil || len(got) != 3 {
+		t.Fatalf("DequeueBatch = (%v, %v), want 3 elements", got, err)
+	}
+	s := wp.Stats()
+	if s.EmptyRejects != 2 {
+		t.Fatalf("EmptyRejects = %d, want 2 (one per shard)", s.EmptyRejects)
+	}
+	attempts := uint64(0)
+	for _, sh := range s.Shards {
+		attempts += sh.Lock.Attempts
+	}
+	if attempts != 5 {
+		t.Fatalf("lock attempts = %d, want 5 (3 enqueues + one pass over 2 shards)", attempts)
+	}
 }
 
 func TestWorkPoolBatch(t *testing.T) {
