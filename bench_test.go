@@ -262,7 +262,7 @@ func benchMutexMap(b *testing.B, shards int) {
 // vCPU, a page fault, a GC pause), modeled by a value codec whose
 // encode periodically sleeps — inside the critical section for
 // wfcache, while holding the mutex for the baseline (see
-// internal/bench.StallPoint). A stalled mutex holder blocks the whole
+// internal/workload.StallPoint). A stalled mutex holder blocks the whole
 // cache; a stalled wfcache winner is helped, so only the stalled
 // goroutine loses time and the sleeps of different workers overlap.
 // Expect the 8-shard wfcache to beat the mutex LRU on the cache:zipf
@@ -286,11 +286,11 @@ func BenchmarkCache(b *testing.B) {
 		}
 		for _, shards := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("%s/wfcache/shards=%d", sc.Name, shards), func(b *testing.B) {
-				benchWfcache(b, sc, shards, bench.NewStallPoint(benchStallPeriod, benchStallDur))
+				benchWfcache(b, sc, shards, workload.NewStallPoint(benchStallPeriod, benchStallDur))
 			})
 		}
 		b.Run(fmt.Sprintf("%s/mutexlru", sc.Name), func(b *testing.B) {
-			benchMutexLRU(b, sc, bench.NewStallPoint(benchStallPeriod, benchStallDur))
+			benchMutexLRU(b, sc, workload.NewStallPoint(benchStallPeriod, benchStallDur))
 		})
 	}
 	// The raw regime for the headline pair, for scale.
@@ -317,7 +317,7 @@ func benchCacheWorkers() (par, workers int) {
 	return par, procs * par
 }
 
-func benchWfcache(b *testing.B, sc *workload.CacheScenario, shards int, sp *bench.StallPoint) {
+func benchWfcache(b *testing.B, sc *workload.CacheScenario, shards int, sp *workload.StallPoint) {
 	par, workers := benchCacheWorkers()
 	b.SetParallelism(par)
 	// CacheCriticalSteps pow2-rounds per-shard capacity exactly as the
@@ -370,7 +370,7 @@ func benchWfcache(b *testing.B, sc *workload.CacheScenario, shards int, sp *benc
 	}
 }
 
-func benchMutexLRU(b *testing.B, sc *workload.CacheScenario, sp *bench.StallPoint) {
+func benchMutexLRU(b *testing.B, sc *workload.CacheScenario, sp *workload.StallPoint) {
 	par, _ := benchCacheWorkers()
 	b.SetParallelism(par)
 	c := bench.NewMutexLRU(sc.Capacity, sp)
@@ -427,12 +427,12 @@ const (
 func BenchmarkTxn(b *testing.B) {
 	for _, l := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("wfmap/L=%d", l), func(b *testing.B) {
-			benchWfmapTxn(b, l, bench.NewStallPoint(benchStallPeriod, benchStallDur))
+			benchWfmapTxn(b, l, workload.NewStallPoint(benchStallPeriod, benchStallDur))
 		})
 	}
 	for _, l := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("multimutex/L=%d", l), func(b *testing.B) {
-			benchMultiMutexTxn(b, l, bench.NewStallPoint(benchStallPeriod, benchStallDur))
+			benchMultiMutexTxn(b, l, workload.NewStallPoint(benchStallPeriod, benchStallDur))
 		})
 	}
 }
@@ -448,7 +448,7 @@ func benchTxnParallelism(b *testing.B) {
 	b.SetParallelism(par)
 }
 
-func benchWfmapTxn(b *testing.B, l int, sp *bench.StallPoint) {
+func benchWfmapTxn(b *testing.B, l int, sp *workload.StallPoint) {
 	benchTxnParallelism(b)
 	capPerShard := 2 * benchTxnKeys / benchTxnShards
 	workers := runtime.GOMAXPROCS(0)
@@ -512,7 +512,7 @@ func benchWfmapTxn(b *testing.B, l int, sp *bench.StallPoint) {
 	}
 }
 
-func benchMultiMutexTxn(b *testing.B, l int, sp *bench.StallPoint) {
+func benchMultiMutexTxn(b *testing.B, l int, sp *workload.StallPoint) {
 	benchTxnParallelism(b)
 	mm := bench.NewMultiMutexMap(benchTxnShards, sp)
 	for k := uint64(0); k < benchTxnKeys; k++ {
@@ -625,17 +625,17 @@ const benchQueueCapacity = 256
 func BenchmarkQueue(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workpool/shards=%d", shards), func(b *testing.B) {
-			benchWorkPool(b, shards, bench.NewStallPoint(benchStallPeriod, benchStallDur))
+			benchWorkPool(b, shards, workload.NewStallPoint(benchStallPeriod, benchStallDur))
 		})
 	}
 	b.Run("wfqueue", func(b *testing.B) {
-		benchWfQueue(b, bench.NewStallPoint(benchStallPeriod, benchStallDur))
+		benchWfQueue(b, workload.NewStallPoint(benchStallPeriod, benchStallDur))
 	})
 	b.Run("mutexring", func(b *testing.B) {
-		benchMutexRing(b, bench.NewStallPoint(benchStallPeriod, benchStallDur))
+		benchMutexRing(b, workload.NewStallPoint(benchStallPeriod, benchStallDur))
 	})
 	b.Run("channel", func(b *testing.B) {
-		benchChanQueue(b, bench.NewStallPoint(benchStallPeriod, benchStallDur))
+		benchChanQueue(b, workload.NewStallPoint(benchStallPeriod, benchStallDur))
 	})
 	b.Run("nostall/workpool/shards=8", func(b *testing.B) {
 		benchWorkPool(b, 8, nil)
@@ -670,7 +670,7 @@ func benchQueuePair(b *testing.B, enq func(uint64) bool, deq func() (uint64, boo
 	})
 }
 
-func benchWorkPool(b *testing.B, shards int, sp *bench.StallPoint) {
+func benchWorkPool(b *testing.B, shards int, sp *workload.StallPoint) {
 	_, workers := benchCacheWorkers()
 	m, err := wflocks.New(
 		wflocks.WithUnknownBounds(workers+2),
@@ -700,7 +700,7 @@ func benchWorkPool(b *testing.B, shards int, sp *bench.StallPoint) {
 	b.ReportMetric(float64(s.Steals), "steals")
 }
 
-func benchWfQueue(b *testing.B, sp *bench.StallPoint) {
+func benchWfQueue(b *testing.B, sp *workload.StallPoint) {
 	_, workers := benchCacheWorkers()
 	m, err := wflocks.New(
 		wflocks.WithUnknownBounds(workers+2),
@@ -727,13 +727,13 @@ func benchWfQueue(b *testing.B, sp *bench.StallPoint) {
 	}
 }
 
-func benchMutexRing(b *testing.B, sp *bench.StallPoint) {
+func benchMutexRing(b *testing.B, sp *workload.StallPoint) {
 	q := bench.NewMutexRing(benchQueueCapacity, sp)
 	sp.Arm()
 	benchQueuePair(b, q.TryEnqueue, q.TryDequeue)
 }
 
-func benchChanQueue(b *testing.B, sp *bench.StallPoint) {
+func benchChanQueue(b *testing.B, sp *workload.StallPoint) {
 	q := bench.NewChanQueue(benchQueueCapacity, sp)
 	sp.Arm()
 	benchQueuePair(b, q.TryEnqueue, q.TryDequeue)
@@ -760,7 +760,6 @@ func benchServe(b *testing.B, backend string) {
 		Capacity:    2 * keys,
 		MaxKeyBytes: 16,
 		MaxValBytes: 32,
-		NewManager:  bench.AdaptiveManager,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -842,11 +841,11 @@ const (
 func BenchmarkLog(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("wflog/shards=%d", shards), func(b *testing.B) {
-			benchWfLog(b, shards, bench.NewStallPoint(benchStallPeriod, benchStallDur))
+			benchWfLog(b, shards, workload.NewStallPoint(benchStallPeriod, benchStallDur))
 		})
 	}
 	b.Run("mutexslice", func(b *testing.B) {
-		benchMutexSliceLog(b, bench.NewStallPoint(benchStallPeriod, benchStallDur))
+		benchMutexSliceLog(b, workload.NewStallPoint(benchStallPeriod, benchStallDur))
 	})
 	b.Run("nostall/wflog/shards=8", func(b *testing.B) { benchWfLog(b, 8, nil) })
 	b.Run("nostall/mutexslice", func(b *testing.B) { benchMutexSliceLog(b, nil) })
@@ -887,7 +886,7 @@ func benchLogRound(b *testing.B, append func(uint64) bool,
 	})
 }
 
-func benchWfLog(b *testing.B, shards int, sp *bench.StallPoint) {
+func benchWfLog(b *testing.B, shards int, sp *workload.StallPoint) {
 	_, workers := benchCacheWorkers()
 	m, err := wflocks.New(
 		wflocks.WithUnknownBounds(workers+2),
@@ -918,7 +917,7 @@ func benchWfLog(b *testing.B, shards int, sp *bench.StallPoint) {
 	})
 }
 
-func benchMutexSliceLog(b *testing.B, sp *bench.StallPoint) {
+func benchMutexSliceLog(b *testing.B, sp *workload.StallPoint) {
 	l := bench.NewMutexSliceLog(benchLogCapacity, sp)
 	sp.Arm()
 	benchLogRound(b, func(v uint64) bool { return l.TryAppend(0, v) },

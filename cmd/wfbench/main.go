@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -96,16 +97,6 @@ func run() int {
 	return 0
 }
 
-// contains reports whether list holds s.
-func contains(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
-}
-
 // printScenarios renders the central workload registry, one line per
 // scenario.
 func printScenarios(w *os.File) {
@@ -114,29 +105,17 @@ func printScenarios(w *os.File) {
 	}
 }
 
-// runWorkload dispatches a data-structure workload by name; every
-// scenario family shares the flag and the central registry describes
-// the options. vs restricts the map/cache/txn delay-variant sweep; the
-// queue, log and service tiers are adaptive-only by construction.
+// runWorkload runs a data-structure workload by name through its
+// family's table; the central registry describes the options. vs
+// restricts the map/cache/txn delay-variant sweep; the queue, log and
+// service tiers are adaptive-only by construction.
 func runWorkload(name string, s bench.Scale, vs []bench.Variant) int {
-	var run func() (*bench.Table, error)
-	if sc := workload.LookupMapScenario(name); sc != nil {
-		run = func() (*bench.Table, error) { return bench.RunMapScenarioVariants(sc, s, vs) }
-	} else if sc := workload.LookupCacheScenario(name); sc != nil {
-		run = func() (*bench.Table, error) { return bench.RunCacheScenarioVariants(sc, s, vs) }
-	} else if sc := workload.LookupTxnScenario(name); sc != nil {
-		run = func() (*bench.Table, error) { return bench.RunTxnScenarioVariants(sc, s, vs) }
-	} else if sc := workload.LookupQueueScenario(name); sc != nil {
-		run = func() (*bench.Table, error) { return bench.RunQueueScenario(sc, s) }
-	} else if sc := workload.LookupLogScenario(name); sc != nil {
-		run = func() (*bench.Table, error) { return bench.RunLogScenario(sc, s) }
-	} else if sc := workload.LookupServiceScenario(name); sc != nil {
-		run = func() (*bench.Table, error) { return bench.RunServiceScenario(sc, s) }
-	} else {
+	run := bench.Scenario(name)
+	if run == nil {
 		// Name the failure precisely: a family nobody registered is a
 		// different mistake from a typo inside a known family.
 		fam, _, _ := strings.Cut(name, ":")
-		if fams := workload.Families(); !contains(fams, fam) {
+		if fams := workload.Families(); !slices.Contains(fams, fam) {
 			fmt.Fprintf(os.Stderr, "wfbench: unknown workload family %q (families: %s); the registry:\n",
 				fam, strings.Join(fams, ", "))
 		} else {
@@ -146,7 +125,7 @@ func runWorkload(name string, s bench.Scale, vs []bench.Variant) int {
 		return 2
 	}
 	start := time.Now()
-	table, err := run()
+	table, err := run(s, vs)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "wfbench: %s failed: %v\n", name, err)
 		return 1

@@ -29,9 +29,9 @@ import (
 	"os"
 	"time"
 
-	"wflocks/internal/bench"
 	"wflocks/internal/serve"
 	"wflocks/internal/serve/loadgen"
+	"wflocks/internal/workload"
 )
 
 func main() {
@@ -192,11 +192,10 @@ func dialer(addr, loopback string, stall, prefill bool, keys, valBytes int, with
 		TraceSample:        traceRate,
 		WatchdogDelaySteps: wdSteps,
 		WatchdogHelpRun:    wdHelp,
-		NewManager:         bench.AdaptiveManager,
 	}
-	var sp *bench.StallPoint
+	var sp *workload.StallPoint
 	if stall {
-		sp = bench.NewStallPoint(bench.StallPeriod, bench.StallDur)
+		sp = workload.NewStallPoint(workload.StallPeriod, workload.StallDur)
 		cfg.Stall = sp.Hit
 	}
 	s, err := serve.NewServer(cfg)

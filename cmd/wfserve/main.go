@@ -23,7 +23,6 @@ import (
 	"syscall"
 	"time"
 
-	"wflocks/internal/bench"
 	"wflocks/internal/serve"
 )
 
@@ -65,10 +64,6 @@ func run() int {
 		TraceSample:        *trace,
 		WatchdogDelaySteps: *wdSteps,
 		WatchdogHelpRun:    *wdHelp,
-		// The paper's §6.2 unknown-bounds adaptive-delay configuration:
-		// per-shard contention in a server is far below the connection
-		// bound, and the adaptive delays track what actually contends.
-		NewManager: bench.AdaptiveManager,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "wfserve: %v\n", err)

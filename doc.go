@@ -91,10 +91,10 @@
 // entirely (a lock-free sum of per-shard size cells), and iteration is
 // range-over-func — All, Keys, Values return iter.Seq iterators whose
 // per-shard snapshots validate the engine's seqlock versions, so they
-// never block writers and never surface a torn entry (the callback
-// Range remains as a deprecated wrapper). Map.Stats exposes per-shard
-// contention counters (the same counters the shard locks contribute to
-// StatsSnapshot.Locks) plus a Jain balance index over shards.
+// never block writers and never surface a torn entry. Map.Stats
+// exposes per-shard contention counters (the same counters the shard
+// locks contribute to StatsSnapshot.Locks) plus a Jain balance index
+// over shards.
 //
 // Cache (NewCache, NewCacheOf) layers LRU eviction and optional TTL on
 // the same shard architecture. Each shard adds an intrusive doubly-

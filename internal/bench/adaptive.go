@@ -7,9 +7,10 @@ import (
 	"wflocks"
 )
 
-// Variant names a delay regime for benchmark managers. Every structure
-// runner sweeps both by default so the tables show what each regime
-// costs on the same workload.
+// Variant names a delay regime for benchmark managers. The map, cache
+// and txn tables sweep both by default so they show what each regime
+// costs on the same workload; the queue, log and service tables run
+// VariantAdaptive.
 type Variant string
 
 const (
@@ -74,13 +75,4 @@ func NewManager(v Variant, procs, maxLocks, maxCritical int, extra ...wflocks.Op
 		return nil, fmt.Errorf("bench: unknown variant %q", v)
 	}
 	return wflocks.New(append(opts, extra...)...)
-}
-
-// AdaptiveManager builds a manager in the unknown-bounds adaptive-delay
-// configuration — NewManager(VariantAdaptive, ...). The queue and
-// service tiers use it directly: their per-lock contention after
-// sharding is far below the process count, which is exactly the regime
-// the adaptive delays exploit.
-func AdaptiveManager(procs, maxLocks, maxCritical int, extra ...wflocks.Option) (*wflocks.Manager, error) {
-	return NewManager(VariantAdaptive, procs, maxLocks, maxCritical, extra...)
 }

@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"fmt"
 	"sync"
-	"time"
 
 	"wflocks"
 	"wflocks/internal/workload"
@@ -50,7 +49,7 @@ type MutexLRU struct {
 	capacity int
 	entries  map[uint64]*list.Element
 	order    *list.List // front = most recently used
-	stall    *StallPoint
+	stall    *workload.StallPoint
 
 	hits, misses, evictions uint64
 }
@@ -61,7 +60,7 @@ type lruEntry struct{ k, v uint64 }
 // (which may be nil) is drawn while the mutex is held whenever an
 // entry's value is touched, mirroring wfcache's in-critical-section
 // encode.
-func NewMutexLRU(capacity int, stall *StallPoint) *MutexLRU {
+func NewMutexLRU(capacity int, stall *workload.StallPoint) *MutexLRU {
 	return &MutexLRU{
 		capacity: capacity,
 		entries:  make(map[uint64]*list.Element, capacity),
@@ -136,61 +135,76 @@ func (c *MutexLRU) Counters() (hits, misses, evictions uint64) {
 // cacheShardCounts is the shard sweep of the cache benchmarks.
 var cacheShardCounts = []int{1, 2, 4, 8}
 
-// RunCacheScenario drives sc against wfcache (sweeping the shard count
-// under both delay variants) and the mutex LRU baseline, in the raw and
+// cacheSweep drives sc against wfcache (sweeping the shard count under
+// each delay variant) and the mutex LRU baseline, in the raw and
 // holder-stall regimes, and tabulates throughput, hit rate, evictions
 // and contention.
-func RunCacheScenario(sc *workload.CacheScenario, scale Scale) (*Table, error) {
-	return RunCacheScenarioVariants(sc, scale, AllVariants)
+func cacheSweep(sc *workload.CacheScenario, s Scale, vs []Variant) (*sweep, error) {
+	workers := procsAtLeast(4)
+	opsPer := s.pick(200, 1000)
+	sw := &sweep{
+		title: fmt.Sprintf("%s: %d%%/%d%%/%d%% get/put/delete, %d keys, cap %d, skew %.1f, %d workers × %d ops",
+			sc.Name, sc.GetPct, sc.PutPct, sc.DeletePct, sc.Keys, sc.Capacity, sc.Skew, workers, opsPer),
+		param:  "shards",
+		stalls: true,
+		rate:   "ops/sec",
+		cols:   []string{"hit%", "evict", "success", "attempts/op", "balance"},
+		obs:    true,
+		notes: []string{
+			"adaptive rows use WithUnknownBounds delays that track point contention (the recommended default); known rows pay the fixed c·κ²L²T delays",
+			"raw regime: the mutex LRU wins on constant factors — contended wfcache attempts still pay their regime's delays",
+			fmt.Sprintf("stall regime: holders stall mid-critical-section (%v every %d value writes); helpers absorb wfcache's stalls, the mutex serializes them", workload.StallDur, workload.StallPeriod),
+			fmt.Sprintf("hit%% counts Get outcomes; the cache holds %d of %d keys, so hit rate is emergent from skew and recency", sc.Capacity, sc.Keys)},
+	}
+	for _, v := range vs {
+		for _, shards := range cacheShardCounts {
+			sw.rows = append(sw.rows, row{"wfcache/" + string(v), fmt.Sprint(shards), func(sp *workload.StallPoint) (*run, error) {
+				return wfcacheRun(sc, v, shards, workers, opsPer, sp)
+			}})
+		}
+	}
+	sw.rows = append(sw.rows, row{"mutexlru", "1", func(sp *workload.StallPoint) (*run, error) {
+		return mutexLRURun(sc, workers, opsPer, sp), nil
+	}})
+	return sw, nil
 }
 
-// RunCacheScenarioVariants is RunCacheScenario restricted to the given
-// delay variants (the -variant flag).
-func RunCacheScenarioVariants(sc *workload.CacheScenario, scale Scale, variants []Variant) (*Table, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	workers := mapWorkers()
-	opsPer := 200
-	if scale == Full {
-		opsPer = 1000
-	}
-	t := &Table{
-		Title: fmt.Sprintf("%s: %d%%/%d%%/%d%% get/put/delete, %d keys, cap %d, skew %.1f, %d workers × %d ops",
-			sc.Name, sc.GetPct, sc.PutPct, sc.DeletePct, sc.Keys, sc.Capacity, sc.Skew, workers, opsPer),
-		Header: append([]string{"impl", "shards", "stall", "ops/sec", "hit%", "evict", "success", "attempts/op", "balance"}, ObsHeader...),
-	}
-	for _, stalled := range []bool{false, true} {
-		// Each run gets its own stall point so the regime's rows do not
-		// share a stall schedule.
-		label := "none"
-		newSP := func() *StallPoint { return nil }
-		if stalled {
-			label = fmt.Sprintf("%v/%d", StallDur, StallPeriod)
-			newSP = func() *StallPoint { return NewStallPoint(StallPeriod, StallDur) }
-		}
-		for _, v := range variants {
-			for _, shards := range cacheShardCounts {
-				row, err := runWfcacheScenario(sc, v, shards, workers, opsPer, label, newSP())
-				if err != nil {
-					return nil, err
-				}
-				t.Rows = append(t.Rows, row)
+// cacheWork is a cache row's per-goroutine share of the timed run:
+// opsPer ops drawn from the goroutine's own stream. Gets are
+// read-through: a miss computes (free here) and installs the value.
+func cacheWork(sc *workload.CacheScenario, opsPer int, get func(k uint64), put func(k, v uint64), del func(k uint64)) func(int) error {
+	return func(w int) error {
+		st := workload.NewCacheOpStream(sc, workerSeed(w))
+		for i := 0; i < opsPer; i++ {
+			kind, key := st.Next()
+			k := uint64(key)
+			switch kind {
+			case workload.CacheGet:
+				get(k)
+			case workload.CachePut:
+				put(k, k*3)
+			case workload.CacheDelete:
+				del(k)
 			}
 		}
-		t.Rows = append(t.Rows, runMutexLRUScenario(sc, workers, opsPer, label, newSP()))
+		return nil
 	}
-	t.Notes = append(t.Notes,
-		"adaptive rows use WithUnknownBounds delays that track point contention (the recommended default); known rows pay the fixed c·κ²L²T delays",
-		"raw regime: the mutex LRU wins on constant factors — contended wfcache attempts still pay their regime's delays",
-		"stall regime: holders stall mid-critical-section ("+fmt.Sprintf("%v every %d value writes", StallDur, StallPeriod)+"); helpers absorb wfcache's stalls, the mutex serializes them",
-		"hit% counts Get outcomes; the cache holds "+fmt.Sprintf("%d of %d", sc.Capacity, sc.Keys)+" keys, so hit rate is emergent from skew and recency")
-	return t, nil
 }
 
-// runWfcacheScenario measures one wfcache configuration under one delay
-// variant.
-func runWfcacheScenario(sc *workload.CacheScenario, v Variant, shards, workers, opsPer int, stallLabel string, sp *StallPoint) ([]string, error) {
+// cacheCols renders a cache row's columns from its counter deltas.
+func cacheCols(t *tally, hits, misses, evictions uint64, balance string) []string {
+	hitPct := 0.0
+	if hits+misses > 0 {
+		hitPct = 100 * float64(hits) / float64(hits+misses)
+	}
+	return []string{fmt.Sprintf("%.1f", hitPct), fmt.Sprint(evictions),
+		t.success(), t.attemptsPer(t.ops), balance}
+}
+
+// wfcacheRun builds one wfcache configuration under one delay variant,
+// prefilled with the head of the keyspace (the zipf-hot ranks) so the
+// run starts from a warm cache.
+func wfcacheRun(sc *workload.CacheScenario, v Variant, shards, workers, opsPer int, sp *workload.StallPoint) (*run, error) {
 	// CacheCriticalSteps pow2-rounds its per-shard argument exactly as
 	// the constructor does, so the raw quotient is the right input.
 	perShard := (sc.Capacity + shards - 1) / shards
@@ -198,124 +212,55 @@ func runWfcacheScenario(sc *workload.CacheScenario, v Variant, shards, workers, 
 	if err != nil {
 		return nil, err
 	}
-	vc := wflocks.Codec[uint64](wflocks.IntegerCodec[uint64]())
-	if sp != nil {
-		vc = StallValueCodec(sp)
-	}
-	cache, err := wflocks.NewCacheOf[uint64, uint64](m, wflocks.IntegerCodec[uint64](), vc,
+	cache, err := wflocks.NewCacheOf[uint64, uint64](m, wflocks.IntegerCodec[uint64](), StallValueCodec(sp),
 		wflocks.WithCacheShards(shards), wflocks.WithCapacity(sc.Capacity))
 	if err != nil {
 		return nil, err
 	}
-	// Prefill with the head of the keyspace (the zipf-hot ranks) so the
-	// run starts from a warm cache, then arm the stalls.
 	for k := 0; k < sc.Capacity; k++ {
 		cache.Put(uint64(k), uint64(k)*3)
 	}
-	sp.Arm()
-	base := m.Stats()
-	obsBase := m.Observe()
-	baseCache := cache.Stats()
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			st := workload.NewCacheOpStream(sc, uint64(w)*0x9e3779b97f4a7c15+1)
-			for i := 0; i < opsPer; i++ {
-				kind, key := st.Next()
-				k := uint64(key)
-				switch kind {
-				case workload.CacheGet:
-					// Read-through: a miss computes (free here) and
-					// installs, the cache idiom GetOrCompute serves.
-					cache.GetOrCompute(k, func() uint64 { return k * 3 })
-				case workload.CachePut:
-					cache.Put(k, k*3)
-				case workload.CacheDelete:
-					cache.Delete(k)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	delta := m.Stats().Sub(base)
-	cs := cache.Stats()
-	totalOps := workers * opsPer
-	hits := cs.Hits - baseCache.Hits
-	misses := cs.Misses - baseCache.Misses
-	evictions := cs.Evictions - baseCache.Evictions
-	hitPct := 0.0
-	if hits+misses > 0 {
-		hitPct = 100 * float64(hits) / float64(hits+misses)
-	}
-	return append([]string{
-		"wfcache/" + string(v),
-		fmt.Sprint(shards),
-		stallLabel,
-		fmt.Sprintf("%.0f", float64(totalOps)/elapsed.Seconds()),
-		fmt.Sprintf("%.1f", hitPct),
-		fmt.Sprint(evictions),
-		fmt.Sprintf("%.3f", delta.SuccessRate()),
-		fmt.Sprintf("%.2f", float64(delta.Attempts)/float64(totalOps)),
-		fmt.Sprintf("%.3f", cs.Balance),
-	}, ObsCols(m, delta, obsBase)...), nil
+	var base wflocks.CacheStats
+	return &run{
+		mgrs:    []*wflocks.Manager{m},
+		workers: workers,
+		ops:     workers * opsPer,
+		work: cacheWork(sc, opsPer,
+			func(k uint64) { cache.GetOrCompute(k, func() uint64 { return k * 3 }) },
+			func(k, v uint64) { cache.Put(k, v) },
+			func(k uint64) { cache.Delete(k) }),
+		mark: func() { base = cache.Stats() },
+		cols: func(t *tally) []string {
+			cs := cache.Stats()
+			return cacheCols(t, cs.Hits-base.Hits, cs.Misses-base.Misses, cs.Evictions-base.Evictions,
+				fmt.Sprintf("%.3f", cs.Balance))
+		},
+	}, nil
 }
 
-// runMutexLRUScenario measures the baseline. It has one lock, so the
-// shards and balance columns do not apply.
-func runMutexLRUScenario(sc *workload.CacheScenario, workers, opsPer int, stallLabel string, sp *StallPoint) []string {
+// mutexLRURun builds the baseline. It has one lock, so the balance
+// column does not apply.
+func mutexLRURun(sc *workload.CacheScenario, workers, opsPer int, sp *workload.StallPoint) *run {
 	c := NewMutexLRU(sc.Capacity, sp)
 	for k := 0; k < sc.Capacity; k++ {
 		c.Put(uint64(k), uint64(k)*3)
 	}
-	sp.Arm()
-	h0, m0, e0 := c.Counters()
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			st := workload.NewCacheOpStream(sc, uint64(w)*0x9e3779b97f4a7c15+1)
-			for i := 0; i < opsPer; i++ {
-				kind, key := st.Next()
-				k := uint64(key)
-				switch kind {
-				case workload.CacheGet:
-					if _, ok := c.Get(k); !ok {
-						c.Put(k, k*3)
-					}
-				case workload.CachePut:
+	var h0, m0, e0 uint64
+	return &run{
+		workers: workers,
+		ops:     workers * opsPer,
+		work: cacheWork(sc, opsPer,
+			func(k uint64) {
+				if _, ok := c.Get(k); !ok {
 					c.Put(k, k*3)
-				case workload.CacheDelete:
-					c.Delete(k)
 				}
-			}
-		}(w)
+			},
+			c.Put,
+			func(k uint64) { c.Delete(k) }),
+		mark: func() { h0, m0, e0 = c.Counters() },
+		cols: func(t *tally) []string {
+			hits, misses, evictions := c.Counters()
+			return cacheCols(t, hits-h0, misses-m0, evictions-e0, "-")
+		},
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	hits, misses, evictions := c.Counters()
-	hits -= h0
-	misses -= m0
-	evictions -= e0
-	totalOps := workers * opsPer
-	hitPct := 0.0
-	if hits+misses > 0 {
-		hitPct = 100 * float64(hits) / float64(hits+misses)
-	}
-	return append([]string{
-		"mutexlru",
-		"1",
-		stallLabel,
-		fmt.Sprintf("%.0f", float64(totalOps)/elapsed.Seconds()),
-		fmt.Sprintf("%.1f", hitPct),
-		fmt.Sprint(evictions),
-		"-",
-		"-",
-		"-",
-	}, ObsBlank()...)
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"strconv"
 	"testing"
 	"time"
 
@@ -48,91 +47,25 @@ func TestMutexLRUBasic(t *testing.T) {
 	}
 }
 
-func TestStallPoint(t *testing.T) {
-	// Unarmed, hits draw but never sleep (setup work is free).
-	sp := NewStallPoint(2, 2*time.Millisecond)
-	start := time.Now()
-	for i := 0; i < 100; i++ {
-		sp.Hit()
-	}
-	if elapsed := time.Since(start); elapsed > 50*time.Millisecond {
-		t.Fatalf("unarmed stall point slept (%v)", elapsed)
-	}
-	// Armed, every second call sleeps: four calls must cost at least
-	// two stall durations.
-	sp.Arm()
-	start = time.Now()
-	for i := 0; i < 4; i++ {
-		sp.Hit()
-	}
-	if elapsed := time.Since(start); elapsed < 4*time.Millisecond {
-		t.Fatalf("4 armed hits at period 2 took %v, want >= 4ms", elapsed)
-	}
-	// A nil point is inert for both calls.
-	var nilSP *StallPoint
-	nilSP.Arm()
-	start = time.Now()
-	for i := 0; i < 1000; i++ {
-		nilSP.Hit()
-	}
-	if elapsed := time.Since(start); elapsed > 50*time.Millisecond {
-		t.Fatalf("nil stall point cost %v", elapsed)
-	}
-}
-
 func TestStallValueCodecRoundTrip(t *testing.T) {
-	sp := NewStallPoint(1000000, time.Millisecond)
+	// Period 1: every armed draw stalls, so the one encode below must
+	// sleep once and the decode not at all.
+	sp := workload.NewStallPoint(1, 5*time.Millisecond)
 	vc := StallValueCodec(sp)
 	if vc.Words() != 1 {
 		t.Fatalf("Words = %d, want 1", vc.Words())
 	}
+	sp.Arm()
 	var buf [1]uint64
+	start := time.Now()
 	vc.Encode(12345, buf[:])
+	if elapsed := time.Since(start); elapsed < 5*time.Millisecond {
+		t.Fatalf("armed encode took %v, want one 5ms stall", elapsed)
+	}
 	if got := vc.Decode(buf[:]); got != 12345 {
 		t.Fatalf("round trip = %d, want 12345", got)
 	}
-	if sp.n.Load() != 1 {
-		t.Fatalf("encode drew %d stall decisions, want 1", sp.n.Load())
-	}
-}
-
-// TestRunCacheScenario runs the quick-scale cache:zipf table end to end
-// and sanity-checks its shape and numbers. The stall regime sleeps for
-// real, so this is skipped in -short.
-func TestRunCacheScenario(t *testing.T) {
-	if testing.Short() {
-		t.Skip("stall-regime rows sleep for real; skip in -short")
-	}
-	sc := workload.LookupCacheScenario("cache:zipf")
-	if sc == nil {
-		t.Fatal("cache:zipf missing")
-	}
-	tab, err := RunCacheScenario(sc, Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// (4 wfcache shard counts × 2 delay variants) + 1 mutexlru, in 2
-	// stall regimes.
-	if len(tab.Rows) != 18 {
-		t.Fatalf("table has %d rows, want 18", len(tab.Rows))
-	}
-	for _, row := range tab.Rows {
-		ops, err := strconv.ParseFloat(row[3], 64)
-		if err != nil || ops <= 0 {
-			t.Fatalf("row %v: bad ops/sec %q", row, row[3])
-		}
-		hit, err := strconv.ParseFloat(row[4], 64)
-		if err != nil || hit < 0 || hit > 100 {
-			t.Fatalf("row %v: bad hit%% %q", row, row[4])
-		}
-		// The cache holds a quarter of the keyspace under zipf 1.2: hit
-		// rates must sit well above the uniform floor for every impl.
-		if hit < 40 {
-			t.Fatalf("row %v: hit%% %v suspiciously low", row, hit)
-		}
-	}
-	bad := workload.CacheScenario{Name: "bad", Keys: 0, Capacity: 1, GetPct: 100}
-	if _, err := RunCacheScenario(&bad, Quick); err == nil {
-		t.Fatal("invalid scenario accepted")
+	if StallValueCodec(nil).Words() != 1 {
+		t.Fatal("nil stall point codec is not single-word")
 	}
 }

@@ -66,12 +66,12 @@ type MutexSliceLog struct {
 	base  uint64
 	cap   int
 	pos   []uint64
-	stall *StallPoint
+	stall *workload.StallPoint
 }
 
 // NewMutexSliceLog creates a baseline log retaining at most capacity
 // entries.
-func NewMutexSliceLog(capacity int, stall *StallPoint) *MutexSliceLog {
+func NewMutexSliceLog(capacity int, stall *workload.StallPoint) *MutexSliceLog {
 	return &MutexSliceLog{cap: capacity, stall: stall}
 }
 
@@ -158,14 +158,14 @@ func (r *MutexSliceReader) TryNext() (uint64, bool) {
 type ChanFanLog struct {
 	in    chan uint64
 	outs  []chan uint64
-	stall *StallPoint
+	stall *workload.StallPoint
 	dist  atomic.Uint64
 	done  chan struct{}
 }
 
 // NewChanFanLog creates a fan-out over the given consumer count; the
 // input and every consumer buffer hold capacity entries.
-func NewChanFanLog(capacity, consumers int, stall *StallPoint) *ChanFanLog {
+func NewChanFanLog(capacity, consumers int, stall *workload.StallPoint) *ChanFanLog {
 	l := &ChanFanLog{
 		in:    make(chan uint64, capacity),
 		outs:  make([]chan uint64, consumers),
@@ -226,29 +226,68 @@ func (l *ChanFanLog) Close() {
 	<-l.done
 }
 
-// newWfLog builds a Log sized for the scenario at the given shard
-// count, with a consumer-slot pool matching the scenario topology. Like
-// the queue tier it runs the unknown-bounds adaptive-delay variant: the
-// per-shard point contention is far below the goroutine count.
-func newWfLog(sc *workload.LogScenario, shards, procs int, sp *StallPoint) (*wflocks.Log[uint64], *wflocks.Manager, error) {
-	budget := wflocks.LogCriticalSteps(1, 1, sc.Consumers, sc.Segment)
-	m, err := AdaptiveManager(procs, 2, budget, wflocks.WithMetrics())
-	if err != nil {
-		return nil, nil, err
+// logSweep drives sc against the wflog shard sweep and the
+// mutex+slice and channel-fan-out baselines, in the raw and
+// holder-stall regimes, and tabulates delivered throughput, retention
+// and contention.
+func logSweep(sc *workload.LogScenario, s Scale, _ []Variant) (*sweep, error) {
+	itemsPer := s.pick(200, 2000)
+	if sc.Replay && sc.Producers*itemsPer > sc.Capacity {
+		return nil, fmt.Errorf("%s: replay prefill %d exceeds capacity %d",
+			sc.Name, sc.Producers*itemsPer, sc.Capacity)
 	}
-	vc := wflocks.Codec[uint64](wflocks.IntegerCodec[uint64]())
-	if sp != nil {
-		vc = StallValueCodec(sp)
+	shape := "live"
+	if sc.Replay {
+		shape = "replay"
 	}
-	lg, err := wflocks.NewLogOf[uint64](m, vc,
-		wflocks.WithLogShards(shards), wflocks.WithLogCapacity(sc.Capacity),
-		wflocks.WithLogSegment(sc.Segment), wflocks.WithLogBatch(1),
-		wflocks.WithLogConsumers(sc.Consumers))
-	return lg, m, err
+	sw := &sweep{
+		title: fmt.Sprintf("%s: %d producers × %d items broadcast to %d consumers (%d lagging), cap %d, segment %d, %s",
+			sc.Name, sc.Producers, itemsPer, sc.Consumers, sc.Laggards, sc.Capacity, sc.Segment, shape),
+		param:  "shards",
+		stalls: true,
+		rate:   "deliv/sec",
+		cols:   []string{"trimmed", "lagmax", "success", "attempts/op"},
+		obs:    true,
+		notes: []string{
+			"deliv/sec counts consumer-side deliveries (every consumer reads the whole stream); every run audits gapless per-producer delivery order",
+			"raw regime: the mutex+slice and channel fan-out win on constant factors — every wflog attempt pays the adaptive variant's padded delays",
+			fmt.Sprintf("stall regime: appenders and readers stall mid-value-touch (%v every %d touches); a stalled mutex-log holder — appender or subscriber — blocks everyone, a stalled chanfan broadcaster head-of-line blocks the fan-out, a stalled wflog section is helped past and disturbs one shard", workload.StallDur, workload.StallPeriod),
+			"trimmed counts entries reclaimed in-append behind the slowest cursor; lagmax samples the largest cursor backlog at producer completion"},
+	}
+	procs := sc.Producers + sc.Consumers + 4
+	for _, shards := range logShardCounts {
+		sw.rows = append(sw.rows, row{"wflog", fmt.Sprint(shards), func(sp *workload.StallPoint) (*run, error) {
+			return wflogRun(sc, shards, procs, itemsPer, sp)
+		}})
+	}
+	sw.rows = append(sw.rows, row{"mutexslice", "1", func(sp *workload.StallPoint) (*run, error) {
+		ml := NewMutexSliceLog(sc.Capacity, sp)
+		im := &logImpl{append: ml.TryAppend}
+		for c := 0; c < sc.Consumers; c++ {
+			im.read = append(im.read, ml.NewReader().TryNext)
+		}
+		return logRun(sc, itemsPer, im), nil
+	}})
+	sw.rows = append(sw.rows, row{"chanfan", "-", func(sp *workload.StallPoint) (*run, error) {
+		cf := NewChanFanLog(sc.Capacity, sc.Consumers, sp)
+		im := &logImpl{append: cf.TryAppend}
+		for c := 0; c < sc.Consumers; c++ {
+			im.read = append(im.read, cf.Reader(c))
+		}
+		im.settle = func(total int) {
+			for cf.Distributed() < uint64(total) {
+				runtime.Gosched()
+			}
+		}
+		r := logRun(sc, itemsPer, im)
+		r.finish = func() error { cf.Close(); return nil }
+		return r, nil
+	}})
+	return sw, nil
 }
 
 // logImpl is one implementation wired for a run: an appender, one
-// pre-attached reader per consumer, and lifecycle hooks.
+// pre-attached reader per consumer, and prefill hooks.
 type logImpl struct {
 	append func(key, v uint64) bool
 	read   []func() (uint64, bool)
@@ -259,137 +298,63 @@ type logImpl struct {
 	// atPeak, when non-nil, samples retention at the moment the
 	// producers finish — the lagmax column's high-water mark.
 	atPeak func()
-	// finish, when non-nil, fills the implementation-specific columns
-	// from post-run stats.
-	finish func(row []string)
-	// close, when non-nil, releases the implementation's resources.
-	close func()
 }
 
-// RunLogScenario drives sc against the wflog shard sweep and the
-// mutex+slice and channel-fan-out baselines, in the raw and
-// holder-stall regimes, and tabulates delivered throughput, retention
-// and contention.
-func RunLogScenario(sc *workload.LogScenario, scale Scale) (*Table, error) {
-	if err := sc.Validate(); err != nil {
+// wflogRun builds a Log sized for the scenario at the given shard
+// count, with a consumer-slot pool matching the scenario topology. Like
+// the queue tier it runs the unknown-bounds adaptive-delay variant: the
+// per-shard point contention is far below the goroutine count.
+func wflogRun(sc *workload.LogScenario, shards, procs, itemsPer int, sp *workload.StallPoint) (*run, error) {
+	budget := wflocks.LogCriticalSteps(1, 1, sc.Consumers, sc.Segment)
+	m, err := NewManager(VariantAdaptive, procs, 2, budget, wflocks.WithMetrics())
+	if err != nil {
 		return nil, err
 	}
-	itemsPer := 200
-	if scale == Full {
-		itemsPer = 2000
+	lg, err := wflocks.NewLogOf[uint64](m, StallValueCodec(sp),
+		wflocks.WithLogShards(shards), wflocks.WithLogCapacity(sc.Capacity),
+		wflocks.WithLogSegment(sc.Segment), wflocks.WithLogBatch(1),
+		wflocks.WithLogConsumers(sc.Consumers))
+	if err != nil {
+		return nil, err
 	}
-	if sc.Replay && sc.Producers*itemsPer > sc.Capacity {
-		return nil, fmt.Errorf("%s: replay prefill %d exceeds capacity %d",
-			sc.Name, sc.Producers*itemsPer, sc.Capacity)
+	if sc.Replay && itemsPer > lg.Cap()/shards {
+		// Keyed appends pin a producer to one shard, so a replay
+		// prefill must fit per shard, not just in aggregate.
+		return nil, fmt.Errorf("%s: replay prefill %d per producer exceeds per-shard capacity %d at %d shards",
+			sc.Name, itemsPer, lg.Cap()/shards, shards)
 	}
-	shape := "live"
-	if sc.Replay {
-		shape = "replay"
-	}
-	t := &Table{
-		Title: fmt.Sprintf("%s: %d producers × %d items broadcast to %d consumers (%d lagging), cap %d, segment %d, %s",
-			sc.Name, sc.Producers, itemsPer, sc.Consumers, sc.Laggards, sc.Capacity, sc.Segment, shape),
-		Header: append(append([]string{"impl", "shards", "stall", "deliv/sec"}, LogColsHeader...),
-			append([]string{"success", "attempts/op"}, ObsHeader...)...),
-	}
-	procs := sc.Producers + sc.Consumers + 4
-	for _, stalled := range []bool{false, true} {
-		label := "none"
-		newSP := func() *StallPoint { return nil }
-		if stalled {
-			label = fmt.Sprintf("%v/%d", StallDur, StallPeriod)
-			newSP = func() *StallPoint { return NewStallPoint(StallPeriod, StallDur) }
+	im := &logImpl{append: lg.TryAppendKeyed}
+	for c := 0; c < sc.Consumers; c++ {
+		cur, err := lg.NewCursor()
+		if err != nil {
+			return nil, err
 		}
-		for _, shards := range logShardCounts {
-			sp := newSP()
-			lg, m, err := newWfLog(sc, shards, procs, sp)
-			if err != nil {
-				return nil, err
-			}
-			if sc.Replay && itemsPer > lg.Cap()/shards {
-				// Keyed appends pin a producer to one shard, so a replay
-				// prefill must fit per shard, not just in aggregate.
-				return nil, fmt.Errorf("%s: replay prefill %d per producer exceeds per-shard capacity %d at %d shards",
-					sc.Name, itemsPer, lg.Cap()/shards, shards)
-			}
-			im := &logImpl{append: lg.TryAppendKeyed}
-			for c := 0; c < sc.Consumers; c++ {
-				cur, err := lg.NewCursor()
-				if err != nil {
-					return nil, err
-				}
-				im.read = append(im.read, cur.TryNext)
-			}
-			var lagPeak int
-			im.atPeak = func() { lagPeak = lg.Stats().MaxLag }
-			im.finish = func(row []string) {
-				st := lg.Stats()
-				var attempts, wins uint64
-				for _, sh := range st.Shards {
-					attempts += sh.Lock.Attempts
-					wins += sh.Lock.Wins
-				}
-				fillLogCols(row, st.Trimmed, lagPeak)
-				ops := uint64(sc.Producers*itemsPer) + st.Reads
-				if attempts > 0 && ops > 0 {
-					row[6] = fmt.Sprintf("%.3f", float64(wins)/float64(attempts))
-					row[7] = fmt.Sprintf("%.2f", float64(attempts)/float64(ops))
-				}
-				fillObsCols(row, []*wflocks.Manager{m})
-			}
-			row, err := runLogImpl(sc, "wflog", fmt.Sprint(shards), label, sp, itemsPer, im)
-			if err != nil {
-				return nil, err
-			}
-			t.Rows = append(t.Rows, row)
-		}
-		{
-			sp := newSP()
-			ml := NewMutexSliceLog(sc.Capacity, sp)
-			im := &logImpl{append: ml.TryAppend}
-			for c := 0; c < sc.Consumers; c++ {
-				im.read = append(im.read, ml.NewReader().TryNext)
-			}
-			row, err := runLogImpl(sc, "mutexslice", "1", label, sp, itemsPer, im)
-			if err != nil {
-				return nil, err
-			}
-			t.Rows = append(t.Rows, row)
-		}
-		{
-			sp := newSP()
-			cf := NewChanFanLog(sc.Capacity, sc.Consumers, sp)
-			im := &logImpl{append: cf.TryAppend, close: cf.Close}
-			for c := 0; c < sc.Consumers; c++ {
-				im.read = append(im.read, cf.Reader(c))
-			}
-			im.settle = func(total int) {
-				for cf.Distributed() < uint64(total) {
-					runtime.Gosched()
-				}
-			}
-			row, err := runLogImpl(sc, "chanfan", "-", label, sp, itemsPer, im)
-			if err != nil {
-				return nil, err
-			}
-			t.Rows = append(t.Rows, row)
-		}
+		im.read = append(im.read, cur.TryNext)
 	}
-	t.Notes = append(t.Notes,
-		"deliv/sec counts consumer-side deliveries (every consumer reads the whole stream); every run audits gapless per-producer delivery order",
-		"raw regime: the mutex+slice and channel fan-out win on constant factors — every wflog attempt pays the adaptive variant's padded delays",
-		"stall regime: appenders and readers stall mid-value-touch ("+fmt.Sprintf("%v every %d touches", StallDur, StallPeriod)+"); a stalled mutex-log holder — appender or subscriber — blocks everyone, a stalled chanfan broadcaster head-of-line blocks the fan-out, a stalled wflog section is helped past and disturbs one shard",
-		"trimmed counts entries reclaimed in-append behind the slowest cursor; lagmax samples the largest cursor backlog at producer completion")
-	return t, nil
+	var lagPeak int
+	im.atPeak = func() { lagPeak = lg.Stats().MaxLag }
+	r := logRun(sc, itemsPer, im)
+	r.mgrs = []*wflocks.Manager{m}
+	r.cols = func(t *tally) []string {
+		st := lg.Stats()
+		// An op is one read, plus one append per item a live run
+		// produces (a replay's appends are its unmeasured prefill).
+		ops := int(st.Reads)
+		if !sc.Replay {
+			ops += sc.Producers * itemsPer
+		}
+		return []string{fmt.Sprint(st.Trimmed), fmt.Sprint(lagPeak), t.success(), t.attemptsPer(ops)}
+	}
+	return r, nil
 }
 
-// runLogImpl measures one implementation under one regime: producers
-// append keyed by their id, every consumer reads the whole stream
-// through its own reader, and each delivery is audited for gapless
-// per-producer order. Replay runs prefill the whole stream unmeasured
-// and unstall(ed), then time only the concurrent drain.
-func runLogImpl(sc *workload.LogScenario, impl, shards, stallLabel string, sp *StallPoint,
-	itemsPer int, im *logImpl) ([]string, error) {
+// logRun wires one implementation into a timed run: producers append
+// keyed by their id, every consumer reads the whole stream through its
+// own reader, and each delivery is audited for gapless per-producer
+// order. A replay run prefills the whole stream here, unmeasured and
+// unstalled, and times only the concurrent drain. The run renders a
+// baseline's blank columns; wflogRun sets its own.
+func logRun(sc *workload.LogScenario, itemsPer int, im *logImpl) *run {
 	total := sc.Producers * itemsPer
 	produce := func(w int) {
 		for i := 0; i < itemsPer; i++ {
@@ -399,8 +364,32 @@ func runLogImpl(sc *workload.LogScenario, impl, shards, stallLabel string, sp *S
 			}
 		}
 	}
+	consume := func(c int) error {
+		read := im.read[c]
+		last := make([]uint32, sc.Producers)
+		for reads := 0; reads < total; {
+			v, ok := read()
+			if !ok {
+				runtime.Gosched()
+				continue
+			}
+			pid := int(v >> 32)
+			seq := uint32(v)
+			if pid >= sc.Producers || seq != last[pid]+1 {
+				return fmt.Errorf("consumer %d: entry %d/%d breaks prefix order (want seq %d)",
+					c, pid, seq, last[pid]+1)
+			}
+			last[pid] = seq
+			reads++
+			if c < sc.Laggards && reads%laggardEvery == 0 {
+				time.Sleep(laggardNap)
+			}
+		}
+		return nil
+	}
+	producers := sc.Producers
 	if sc.Replay {
-		for w := 0; w < sc.Producers; w++ {
+		for w := 0; w < producers; w++ {
 			produce(w)
 		}
 		if im.settle != nil {
@@ -409,76 +398,23 @@ func runLogImpl(sc *workload.LogScenario, impl, shards, stallLabel string, sp *S
 		if im.atPeak != nil {
 			im.atPeak()
 		}
+		producers = 0
 	}
-	sp.Arm()
-	var auditMu sync.Mutex
-	var auditErr error
-	var pwg, cwg sync.WaitGroup
-	start := time.Now()
-	if !sc.Replay {
-		for w := 0; w < sc.Producers; w++ {
-			pwg.Add(1)
-			go func(w int) {
-				defer pwg.Done()
-				produce(w)
-			}(w)
-		}
-	}
-	for c := 0; c < sc.Consumers; c++ {
-		cwg.Add(1)
-		go func(c int) {
-			defer cwg.Done()
-			read := im.read[c]
-			last := make([]uint32, sc.Producers)
-			for reads := 0; reads < total; {
-				v, ok := read()
-				if !ok {
-					runtime.Gosched()
-					continue
-				}
-				pid := int(v >> 32)
-				seq := uint32(v)
-				if pid >= sc.Producers || seq != last[pid]+1 {
-					auditMu.Lock()
-					if auditErr == nil {
-						auditErr = fmt.Errorf("%s %s consumer %d: entry %d/%d breaks prefix order (want seq %d)",
-							sc.Name, impl, c, pid, seq, last[pid]+1)
-					}
-					auditMu.Unlock()
-					return
-				}
-				last[pid] = seq
-				reads++
-				if c < sc.Laggards && reads%laggardEvery == 0 {
-					time.Sleep(laggardNap)
-				}
+	var producing atomic.Int64
+	producing.Store(int64(producers))
+	return &run{
+		workers: producers + sc.Consumers,
+		ops:     sc.Consumers * total,
+		work: func(w int) error {
+			if w >= producers {
+				return consume(w - producers)
 			}
-		}(c)
+			produce(w)
+			if producing.Add(-1) == 0 && im.atPeak != nil {
+				im.atPeak()
+			}
+			return nil
+		},
+		cols: func(*tally) []string { return []string{"-", "-", "-", "-"} },
 	}
-	if !sc.Replay {
-		pwg.Wait()
-		if im.atPeak != nil {
-			im.atPeak()
-		}
-	}
-	cwg.Wait()
-	elapsed := time.Since(start)
-	if auditErr != nil {
-		return nil, auditErr
-	}
-	delivered := sc.Consumers * total
-	row := []string{
-		impl,
-		shards,
-		stallLabel,
-		fmt.Sprintf("%.0f", float64(delivered)/elapsed.Seconds()),
-		"-", "-", "-", "-", "-", "-", "-",
-	}
-	if im.finish != nil {
-		im.finish(row)
-	}
-	if im.close != nil {
-		im.close()
-	}
-	return row, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"wflocks"
 	"wflocks/internal/env"
@@ -100,60 +99,61 @@ func (mm *MutexMap) Len() int {
 	return n
 }
 
-// mapWorkers picks the driver goroutine count: the host's parallelism,
-// but at least 4 so there is contention to measure on small machines.
-func mapWorkers() int {
-	if p := runtime.GOMAXPROCS(0); p > 4 {
-		return p
-	}
-	return 4
+// procsAtLeast picks a driver goroutine count: the host's parallelism,
+// floored at n so small machines still see the contention a table
+// measures.
+func procsAtLeast(n int) int {
+	return max(runtime.GOMAXPROCS(0), n)
 }
 
-// RunMapScenario drives sc against wfmap (under both delay variants)
-// and the mutex baseline across the shard sweep and tabulates
-// throughput, per-attempt success rate and shard balance.
-func RunMapScenario(sc *workload.MapScenario, scale Scale) (*Table, error) {
-	return RunMapScenarioVariants(sc, scale, AllVariants)
-}
-
-// RunMapScenarioVariants is RunMapScenario restricted to the given
-// delay variants (the -variant flag).
-func RunMapScenarioVariants(sc *workload.MapScenario, scale Scale, variants []Variant) (*Table, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	workers := mapWorkers()
-	opsPer := 200
-	if scale == Full {
-		opsPer = 2000
-	}
-	t := &Table{
-		Title: fmt.Sprintf("%s: %d%%/%d%%/%d%% get/put/delete, %d keys, skew %.1f, %d workers × %d ops",
+// mapSweep drives sc against wfmap (under each delay variant) and the
+// mutex baseline across the shard sweep, and tabulates throughput,
+// per-attempt success rate and shard balance.
+func mapSweep(sc *workload.MapScenario, s Scale, vs []Variant) (*sweep, error) {
+	workers := procsAtLeast(4)
+	opsPer := s.pick(200, 2000)
+	sw := &sweep{
+		title: fmt.Sprintf("%s: %d%%/%d%%/%d%% get/put/delete, %d keys, skew %.1f, %d workers × %d ops",
 			sc.Name, sc.GetPct, sc.PutPct, sc.DeletePct, sc.Keys, sc.Skew, workers, opsPer),
-		Header: append([]string{"impl", "shards", "ops/sec", "success", "attempts/op", "balance", "max/mean"}, ObsHeader...),
+		param: "shards",
+		rate:  "ops/sec",
+		cols:  []string{"success", "attempts/op", "balance", "max/mean"},
+		obs:   true,
+		notes: []string{
+			"adaptive rows use WithUnknownBounds: delays track point contention (the recommended default); known rows pay the fixed c·κ²L²T delays",
+			"uncontended attempts skip delays entirely via the fast path in both regimes; sharding shrinks both κ per lock and T",
+			"balance is Jain's index over per-shard lock attempts (1.0 = even traffic)"},
 	}
-	for _, v := range variants {
+	for _, v := range vs {
 		for _, shards := range mapShardCounts {
-			row, err := runWfmapScenario(sc, v, shards, workers, opsPer)
-			if err != nil {
-				return nil, err
-			}
-			t.Rows = append(t.Rows, row)
+			sw.rows = append(sw.rows, row{"wfmap/" + string(v), fmt.Sprint(shards), func(*workload.StallPoint) (*run, error) {
+				return wfmapRun(sc, v, shards, workers, opsPer)
+			}})
 		}
 	}
 	for _, shards := range mapShardCounts {
-		t.Rows = append(t.Rows, runMutexScenario(sc, shards, workers, opsPer))
+		sw.rows = append(sw.rows, row{"mutex", fmt.Sprint(shards), func(*workload.StallPoint) (*run, error) {
+			return mutexMapRun(sc, shards, workers, opsPer), nil
+		}})
 	}
-	t.Notes = append(t.Notes,
-		"adaptive rows use WithUnknownBounds: delays track point contention (the recommended default); known rows pay the fixed c·κ²L²T delays",
-		"uncontended attempts skip delays entirely via the fast path in both regimes; sharding shrinks both κ per lock and T",
-		"balance is Jain's index over per-shard lock attempts (1.0 = even traffic)")
-	return t, nil
+	return sw, nil
 }
 
-// runWfmapScenario measures one wfmap configuration under one delay
-// variant.
-func runWfmapScenario(sc *workload.MapScenario, v Variant, shards, workers, opsPer int) ([]string, error) {
+// mapWork is a map row's per-goroutine share of the timed run: opsPer
+// ops drawn from the goroutine's own stream, applied by op.
+func mapWork(sc *workload.MapScenario, opsPer int, op func(w, i int, kind workload.MapOpKind, k uint64)) func(int) error {
+	return func(w int) error {
+		st := workload.NewMapOpStream(sc, workerSeed(w))
+		for i := 0; i < opsPer; i++ {
+			kind, key := st.Next()
+			op(w, i, kind, uint64(key))
+		}
+		return nil
+	}
+}
+
+// wfmapRun builds one wfmap configuration under one delay variant.
+func wfmapRun(sc *workload.MapScenario, v Variant, shards, workers, opsPer int) (*run, error) {
 	// Fixed total capacity 2× the keyspace, split across shards, so the
 	// sweep holds the aggregate structure constant while the per-shard
 	// region (and hence T) shrinks as shards grow.
@@ -172,53 +172,34 @@ func runWfmapScenario(sc *workload.MapScenario, v Variant, shards, workers, opsP
 			return nil, err
 		}
 	}
-	base := m.Stats()
-	obsBase := m.Observe()
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			st := workload.NewMapOpStream(sc, uint64(w)*0x9e3779b97f4a7c15+1)
-			for i := 0; i < opsPer; i++ {
-				kind, key := st.Next()
-				k := uint64(key)
-				switch kind {
-				case workload.MapGet:
-					mp.Get(k)
-				case workload.MapPut:
-					// ErrMapFull is impossible by construction (capacity
-					// 2× keyspace) short of extreme hash skew; treat it
-					// as a dropped op rather than failing the run.
-					_ = mp.Put(k, uint64(i))
-				case workload.MapDelete:
-					mp.Delete(k)
-				}
+	return &run{
+		mgrs:    []*wflocks.Manager{m},
+		workers: workers,
+		ops:     workers * opsPer,
+		work: mapWork(sc, opsPer, func(_, i int, kind workload.MapOpKind, k uint64) {
+			switch kind {
+			case workload.MapGet:
+				mp.Get(k)
+			case workload.MapPut:
+				// ErrMapFull is impossible by construction (capacity 2×
+				// keyspace) short of extreme hash skew; treat it as a
+				// dropped op rather than failing the run.
+				_ = mp.Put(k, uint64(i))
+			case workload.MapDelete:
+				mp.Delete(k)
 			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	delta := m.Stats().Sub(base)
-	totalOps := workers * opsPer
-	ms := mp.Stats()
-	opsPerSec := float64(totalOps) / elapsed.Seconds()
-	return append([]string{
-		"wfmap/" + string(v),
-		fmt.Sprint(shards),
-		fmt.Sprintf("%.0f", opsPerSec),
-		fmt.Sprintf("%.3f", delta.SuccessRate()),
-		fmt.Sprintf("%.2f", float64(delta.Attempts)/float64(totalOps)),
-		fmt.Sprintf("%.3f", ms.Balance),
-		fmt.Sprintf("%.2f", ms.MaxOverMean),
-	}, ObsCols(m, delta, obsBase)...), nil
+		}),
+		cols: func(t *tally) []string {
+			ms := mp.Stats()
+			return []string{t.success(), t.attemptsPer(t.ops),
+				fmt.Sprintf("%.3f", ms.Balance), fmt.Sprintf("%.2f", ms.MaxOverMean)}
+		},
+	}, nil
 }
 
-// runMutexScenario measures one baseline configuration. Per-shard
-// contention counters do not exist for sync.Mutex, so balance columns
-// are blank.
-func runMutexScenario(sc *workload.MapScenario, shards, workers, opsPer int) []string {
+// mutexMapRun builds one baseline configuration. sync.Mutex keeps no
+// contention counters, so balance is over the shards' op counts.
+func mutexMapRun(sc *workload.MapScenario, shards, workers, opsPer int) *run {
 	mm := NewMutexMap(shards)
 	for k := 0; k < sc.Keys/2; k++ {
 		mm.Put(uint64(k), uint64(k))
@@ -227,47 +208,32 @@ func runMutexScenario(sc *workload.MapScenario, shards, workers, opsPer int) []s
 	for w := range perShardOps {
 		perShardOps[w] = make([]uint64, len(mm.shards))
 	}
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			st := workload.NewMapOpStream(sc, uint64(w)*0x9e3779b97f4a7c15+1)
-			for i := 0; i < opsPer; i++ {
-				kind, key := st.Next()
-				k := uint64(key)
-				perShardOps[w][mm.shardIndex(k)]++
-				switch kind {
-				case workload.MapGet:
-					mm.Get(k)
-				case workload.MapPut:
-					mm.Put(k, uint64(i))
-				case workload.MapDelete:
-					mm.Delete(k)
+	return &run{
+		workers: workers,
+		ops:     workers * opsPer,
+		work: mapWork(sc, opsPer, func(w, i int, kind workload.MapOpKind, k uint64) {
+			perShardOps[w][mm.shardIndex(k)]++
+			switch kind {
+			case workload.MapGet:
+				mm.Get(k)
+			case workload.MapPut:
+				mm.Put(k, uint64(i))
+			case workload.MapDelete:
+				mm.Delete(k)
+			}
+		}),
+		cols: func(t *tally) []string {
+			counts := make([]uint64, len(mm.shards))
+			for _, per := range perShardOps {
+				for s, c := range per {
+					counts[s] += c
 				}
 			}
-		}(w)
+			d := stats.NewShardDist(counts)
+			return []string{t.success(), t.attemptsPer(t.ops),
+				fmt.Sprintf("%.3f", d.Jain), fmt.Sprintf("%.2f", d.MaxOverMean)}
+		},
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	totalOps := workers * opsPer
-	counts := make([]uint64, len(mm.shards))
-	for _, per := range perShardOps {
-		for s, c := range per {
-			counts[s] += c
-		}
-	}
-	d := stats.NewShardDist(counts)
-	return append([]string{
-		"mutex",
-		fmt.Sprint(shards),
-		fmt.Sprintf("%.0f", float64(totalOps)/elapsed.Seconds()),
-		"-",
-		"-",
-		fmt.Sprintf("%.3f", d.Jain),
-		fmt.Sprintf("%.2f", d.MaxOverMean),
-	}, ObsBlank()...)
 }
 
 // nextPow2 rounds n up to a power of two, minimum 1.

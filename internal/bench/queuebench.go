@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"wflocks"
 	"wflocks/internal/workload"
@@ -38,17 +37,6 @@ import (
 // queueShardCounts is the WorkPool shard sweep.
 var queueShardCounts = []int{1, 2, 4, 8}
 
-// queueWorkers picks the driver goroutine count: the host's
-// parallelism, but at least 8 so the mpmc scenario has real
-// many-to-many contention (and enough runnable competitors to help
-// stalled winners) even on small machines.
-func queueWorkers() int {
-	if p := runtime.GOMAXPROCS(0); p > 8 {
-		return p
-	}
-	return 8
-}
-
 // benchQueue is the uniform surface the queue drivers need; all four
 // implementations provide it.
 type benchQueue interface {
@@ -62,13 +50,13 @@ type benchQueue interface {
 // stall-tolerant baseline (see the file comment).
 type ChanQueue struct {
 	ch    chan uint64
-	stall *StallPoint
+	stall *workload.StallPoint
 }
 
 // NewChanQueue creates a channel baseline with the given capacity.
 // stall (which may be nil) is drawn once per operation, outside the
 // channel op.
-func NewChanQueue(capacity int, stall *StallPoint) *ChanQueue {
+func NewChanQueue(capacity int, stall *workload.StallPoint) *ChanQueue {
 	return &ChanQueue{ch: make(chan uint64, capacity), stall: stall}
 }
 
@@ -105,12 +93,12 @@ type MutexRing struct {
 	buf   []uint64
 	head  uint64
 	tail  uint64
-	stall *StallPoint
+	stall *workload.StallPoint
 }
 
 // NewMutexRing creates a baseline ring with the given capacity
 // (rounded up to a power of two, matching wfqueue).
-func NewMutexRing(capacity int, stall *StallPoint) *MutexRing {
+func NewMutexRing(capacity int, stall *workload.StallPoint) *MutexRing {
 	return &MutexRing{buf: make([]uint64, nextPow2(capacity)), stall: stall}
 }
 
@@ -155,21 +143,17 @@ func (q *MutexRing) Len() int {
 // pad-to-power-of-two delays track the actual contention instead of
 // the worst-case fixed κ²L²T — the paper's own answer (Theorem 6.10,
 // reproduced by E5/E11) to exactly this gap, at the price of a log
-// factor in the success bound. The map/cache/txn runners keep the
-// known-bounds variant, so both modes stay covered end to end.
+// factor in the success bound. The map/cache/txn runners sweep both
+// variants, so both modes stay covered end to end.
 
 // newWfQueue builds a single-ring Queue sized for the scenario,
-// returning the manager alongside for the run's observability columns.
-func newWfQueue(sc *workload.QueueScenario, workers int, sp *StallPoint) (*wflocks.Queue[uint64], *wflocks.Manager, error) {
-	m, err := AdaptiveManager(workers+2, 1, wflocks.QueueCriticalSteps(1, 1), wflocks.WithMetrics())
+// returning the manager alongside for the run's counters.
+func newWfQueue(sc *workload.QueueScenario, workers int, sp *workload.StallPoint) (benchQueue, *wflocks.Manager, error) {
+	m, err := NewManager(VariantAdaptive, workers+2, 1, wflocks.QueueCriticalSteps(1, 1), wflocks.WithMetrics())
 	if err != nil {
 		return nil, nil, err
 	}
-	vc := wflocks.Codec[uint64](wflocks.IntegerCodec[uint64]())
-	if sp != nil {
-		vc = StallValueCodec(sp)
-	}
-	q, err := wflocks.NewQueueOf[uint64](m, vc,
+	q, err := wflocks.NewQueueOf[uint64](m, StallValueCodec(sp),
 		wflocks.WithQueueCapacity(sc.Capacity), wflocks.WithQueueBatch(1))
 	return q, m, err
 }
@@ -177,247 +161,162 @@ func newWfQueue(sc *workload.QueueScenario, workers int, sp *StallPoint) (*wfloc
 // newWfPool builds a WorkPool with the given shard count; the
 // scenario's capacity is the pool total, so the sweep holds aggregate
 // capacity constant while per-shard contention shrinks.
-func newWfPool(sc *workload.QueueScenario, shards, workers int, sp *StallPoint) (*wflocks.WorkPool[uint64], *wflocks.Manager, error) {
-	m, err := AdaptiveManager(workers+2, 2, wflocks.WorkPoolCriticalSteps(1, 1), wflocks.WithMetrics())
+func newWfPool(sc *workload.QueueScenario, shards, workers int, sp *workload.StallPoint) (benchQueue, *wflocks.Manager, error) {
+	m, err := NewManager(VariantAdaptive, workers+2, 2, wflocks.WorkPoolCriticalSteps(1, 1), wflocks.WithMetrics())
 	if err != nil {
 		return nil, nil, err
 	}
-	vc := wflocks.Codec[uint64](wflocks.IntegerCodec[uint64]())
-	if sp != nil {
-		vc = StallValueCodec(sp)
-	}
-	wp, err := wflocks.NewWorkPoolOf[uint64](m, vc,
+	wp, err := wflocks.NewWorkPoolOf[uint64](m, StallValueCodec(sp),
 		wflocks.WithPoolShards(shards), wflocks.WithPoolCapacity(sc.Capacity),
 		wflocks.WithPoolBatch(1))
 	return wp, m, err
 }
 
-// RunQueueScenario drives sc against wfqueue, the WorkPool shard
-// sweep, and the channel and mutex+ring baselines, in the raw and
-// holder-stall regimes, and tabulates throughput, steal traffic and
-// contention.
-func RunQueueScenario(sc *workload.QueueScenario, scale Scale) (*Table, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
+// queueSweep drives sc against wfqueue, the WorkPool shard sweep, and
+// the channel and mutex+ring baselines, in the raw and holder-stall
+// regimes, and tabulates throughput, steal traffic and contention.
+func queueSweep(sc *workload.QueueScenario, s Scale, _ []Variant) (*sweep, error) {
+	// At least 8 so the mpmc scenario has real many-to-many contention
+	// (and enough runnable competitors to help stalled winners).
+	workers := procsAtLeast(8)
+	p := &queuePipeline{sc: sc, itemsPer: s.pick(200, 2000)}
+	p.producers, p.consumers, p.moversPer = sc.Split(workers)
+	sw := &sweep{
+		title: fmt.Sprintf("%s: %d stage(s), cap %d, %d producers × %d items, %d consumers",
+			sc.Name, sc.Stages, sc.Capacity, p.producers, p.itemsPer, p.consumers),
+		param:  "shards",
+		stalls: true,
+		rate:   "items/sec",
+		cols:   []string{"steals", "success", "attempts/item", "balance"},
+		obs:    true,
+		notes: []string{
+			"raw regime: the channel and mutex+ring win on constant factors — every wfqueue attempt pays the adaptive variant's padded delays (unknown-bounds mode, Theorem 6.10; contention-proportional rather than fixed κ²L²T)",
+			fmt.Sprintf("stall regime: producers/consumers stall mid-operation (%v every %d value writes); helpers absorb wfqueue's stalls, the mutex+ring serializes them", workload.StallDur, workload.StallPeriod),
+			"the channel draws its stalls outside the channel op (no user-held lock exists): channels are inherently stall-tolerant, so the stall rows isolate wfqueue vs mutex+ring",
+			"success is wins/attempts over the wait-free lock attempts; steals counts elements WorkPool consumers migrated from other shards"},
 	}
-	workers := queueWorkers()
-	producers, consumers, moversPer := sc.Split(workers)
-	itemsPer := 200
-	if scale == Full {
-		itemsPer = 2000
+	sw.rows = append(sw.rows, p.row("wfqueue", "1", func(sp *workload.StallPoint) (benchQueue, *wflocks.Manager, error) {
+		return newWfQueue(sc, workers, sp)
+	}, nil))
+	for _, shards := range queueShardCounts {
+		sw.rows = append(sw.rows, p.row("workpool", fmt.Sprint(shards), func(sp *workload.StallPoint) (benchQueue, *wflocks.Manager, error) {
+			return newWfPool(sc, shards, workers, sp)
+		}, func(q benchQueue) (uint64, float64) {
+			st := q.(*wflocks.WorkPool[uint64]).Stats()
+			return st.Steals, st.Balance
+		}))
 	}
-	t := &Table{
-		Title: fmt.Sprintf("%s: %d stage(s), cap %d, %d producers × %d items, %d consumers",
-			sc.Name, sc.Stages, sc.Capacity, producers, itemsPer, consumers),
-		Header: append([]string{"impl", "shards", "stall", "items/sec", "steals", "success", "attempts/item", "balance"}, ObsHeader...),
-	}
-	for _, stalled := range []bool{false, true} {
-		// Each run gets its own stall point so the regime's rows do not
-		// share a stall schedule.
-		label := "none"
-		newSP := func() *StallPoint { return nil }
-		if stalled {
-			label = fmt.Sprintf("%v/%d", StallDur, StallPeriod)
-			newSP = func() *StallPoint { return NewStallPoint(StallPeriod, StallDur) }
-		}
-		{
-			sp := newSP()
-			var qs []*wflocks.Queue[uint64]
-			var mgrs []*wflocks.Manager
-			row, err := runQueueImpl(sc, "wfqueue", "1", label, sp, producers, consumers, moversPer, itemsPer,
-				func() (benchQueue, error) {
-					q, m, err := newWfQueue(sc, workers, sp)
-					if err != nil {
-						return nil, err
-					}
-					qs = append(qs, q)
-					mgrs = append(mgrs, m)
-					return q, nil
-				},
-				func(row []string) {
-					var attempts, wins uint64
-					for _, q := range qs {
-						s := q.Stats()
-						attempts += s.Lock.Attempts
-						wins += s.Lock.Wins
-					}
-					fillAttemptCols(row, attempts, wins, uint64(producers*itemsPer))
-					fillObsCols(row, mgrs)
-				})
-			if err != nil {
-				return nil, err
-			}
-			t.Rows = append(t.Rows, row)
-		}
-		for _, shards := range queueShardCounts {
-			sp := newSP()
-			var pools []*wflocks.WorkPool[uint64]
-			var mgrs []*wflocks.Manager
-			row, err := runQueueImpl(sc, "workpool", fmt.Sprint(shards), label, sp, producers, consumers, moversPer, itemsPer,
-				func() (benchQueue, error) {
-					wp, m, err := newWfPool(sc, shards, workers, sp)
-					if err != nil {
-						return nil, err
-					}
-					pools = append(pools, wp)
-					mgrs = append(mgrs, m)
-					return wp, nil
-				},
-				func(row []string) {
-					var steals, attempts, wins uint64
-					balance := 1.0
-					for _, wp := range pools {
-						s := wp.Stats()
-						steals += s.Steals
-						for _, sh := range s.Shards {
-							attempts += sh.Lock.Attempts
-							wins += sh.Lock.Wins
-						}
-						if s.Balance < balance {
-							balance = s.Balance
-						}
-					}
-					row[4] = fmt.Sprint(steals)
-					fillAttemptCols(row, attempts, wins, uint64(producers*itemsPer))
-					row[7] = fmt.Sprintf("%.3f", balance)
-					fillObsCols(row, mgrs)
-				})
-			if err != nil {
-				return nil, err
-			}
-			t.Rows = append(t.Rows, row)
-		}
-		{
-			sp := newSP()
-			row, err := runQueueImpl(sc, "channel", "-", label, sp, producers, consumers, moversPer, itemsPer,
-				func() (benchQueue, error) { return NewChanQueue(sc.Capacity, sp), nil }, nil)
-			if err != nil {
-				return nil, err
-			}
-			t.Rows = append(t.Rows, row)
-		}
-		{
-			sp := newSP()
-			row, err := runQueueImpl(sc, "mutexring", "1", label, sp, producers, consumers, moversPer, itemsPer,
-				func() (benchQueue, error) { return NewMutexRing(sc.Capacity, sp), nil }, nil)
-			if err != nil {
-				return nil, err
-			}
-			t.Rows = append(t.Rows, row)
-		}
-	}
-	t.Notes = append(t.Notes,
-		"raw regime: the channel and mutex+ring win on constant factors — every wfqueue attempt pays the adaptive variant's padded delays (unknown-bounds mode, Theorem 6.10; contention-proportional rather than fixed κ²L²T)",
-		"stall regime: producers/consumers stall mid-operation ("+fmt.Sprintf("%v every %d value writes", StallDur, StallPeriod)+"); helpers absorb wfqueue's stalls, the mutex+ring serializes them",
-		"the channel draws its stalls outside the channel op (no user-held lock exists): channels are inherently stall-tolerant, so the stall rows isolate wfqueue vs mutex+ring",
-		"success is wins/attempts over the wait-free lock attempts; steals counts elements WorkPool consumers migrated from other shards")
-	return t, nil
+	sw.rows = append(sw.rows, p.row("channel", "-", func(sp *workload.StallPoint) (benchQueue, *wflocks.Manager, error) {
+		return NewChanQueue(sc.Capacity, sp), nil, nil
+	}, nil))
+	sw.rows = append(sw.rows, p.row("mutexring", "1", func(sp *workload.StallPoint) (benchQueue, *wflocks.Manager, error) {
+		return NewMutexRing(sc.Capacity, sp), nil, nil
+	}, nil))
+	return sw, nil
 }
 
-// fillAttemptCols fills the success and attempts/item columns from
-// summed lock counters. An item is one enqueue plus one dequeue (plus
-// any full/empty probes and, for pools, steal raids), so the
-// uncontended floor for attempts/item is 2 per traversed stage.
-func fillAttemptCols(row []string, attempts, wins, items uint64) {
-	if attempts == 0 || items == 0 {
-		return
-	}
-	row[5] = fmt.Sprintf("%.3f", float64(wins)/float64(attempts))
-	row[6] = fmt.Sprintf("%.2f", float64(attempts)/float64(items))
+// queuePipeline is a queue table's topology: producers feed the first
+// of sc.Stages queues, movers shuttle items across each boundary, and
+// consumers drain the last.
+type queuePipeline struct {
+	sc                              *workload.QueueScenario
+	producers, consumers, moversPer int
+	itemsPer                        int
 }
 
-// runQueueImpl measures one implementation under one regime: a
-// pipeline of sc.Stages queues built by mk, producers feeding the
-// first, movers shuttling across each boundary, consumers draining
-// the last, with a conservation audit. finish, when non-nil, fills the
-// implementation-specific columns from post-run stats.
-func runQueueImpl(sc *workload.QueueScenario, impl, shards, stallLabel string, sp *StallPoint,
-	producers, consumers, moversPer, itemsPer int,
-	mk func() (benchQueue, error), finish func(row []string)) ([]string, error) {
-	queues := make([]benchQueue, sc.Stages)
-	for i := range queues {
-		q, err := mk()
-		if err != nil {
-			return nil, err
+// row is a queue-table row whose build makes one queue per stage with
+// mk (returning the stage's manager, nil for a baseline). pool, when
+// set, reads a stage's steal count and shard balance for the steals
+// and balance columns.
+func (p *queuePipeline) row(impl, param string,
+	mk func(sp *workload.StallPoint) (benchQueue, *wflocks.Manager, error),
+	pool func(q benchQueue) (steals uint64, balance float64)) row {
+	return row{impl, param, func(sp *workload.StallPoint) (*run, error) {
+		queues := make([]benchQueue, p.sc.Stages)
+		var mgrs []*wflocks.Manager
+		for i := range queues {
+			q, m, err := mk(sp)
+			if err != nil {
+				return nil, err
+			}
+			queues[i] = q
+			if m != nil {
+				mgrs = append(mgrs, m)
+			}
 		}
-		queues[i] = q
-	}
-	total := producers * itemsPer
-	var wantSum atomic.Uint64
-	var gotSum atomic.Uint64
+		r := p.run(queues)
+		r.mgrs = mgrs
+		r.cols = func(t *tally) []string {
+			if pool == nil {
+				return []string{"-", t.success(), t.attemptsPer(t.ops), "-"}
+			}
+			var steals uint64
+			balance := 1.0
+			for _, q := range queues {
+				s, b := pool(q)
+				steals += s
+				balance = min(balance, b)
+			}
+			return []string{fmt.Sprint(steals), t.success(), t.attemptsPer(t.ops), fmt.Sprintf("%.3f", balance)}
+		}
+		return r, nil
+	}}
+}
+
+// run wires the stage queues into a timed run with a conservation
+// audit: the consumed values must sum to the produced ones. An item is
+// one enqueue plus one dequeue per traversed stage (plus any full/empty
+// probes and, for pools, steal raids), so the uncontended floor for
+// attempts/item is 2 per stage.
+func (p *queuePipeline) run(queues []benchQueue) *run {
+	total := p.producers * p.itemsPer
+	movers := p.moversPer * (p.sc.Stages - 1)
+	var wantSum, gotSum atomic.Uint64
 	// moved[i] counts items that have left queue i; stage workers stop
 	// when their upstream total is through.
-	moved := make([]atomic.Uint64, sc.Stages)
-	sp.Arm()
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < producers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < itemsPer; i++ {
-				v := uint64(w*itemsPer+i) + 1
-				wantSum.Add(v)
-				for !queues[0].TryEnqueue(v) {
-					runtime.Gosched()
-				}
+	moved := make([]atomic.Uint64, p.sc.Stages)
+	// drain moves items out of queue b until its upstream total is
+	// through, handing each to sink.
+	drain := func(b int, sink func(v uint64)) {
+		for moved[b].Load() < uint64(total) {
+			if v, ok := queues[b].TryDequeue(); ok {
+				moved[b].Add(1)
+				sink(v)
+			} else {
+				runtime.Gosched()
 			}
-		}(w)
-	}
-	for b := 1; b < sc.Stages; b++ {
-		for w := 0; w < moversPer; w++ {
-			wg.Add(1)
-			go func(b int) {
-				defer wg.Done()
-				for {
-					if moved[b-1].Load() >= uint64(total) {
-						return
-					}
-					if v, ok := queues[b-1].TryDequeue(); ok {
-						moved[b-1].Add(1)
-						for !queues[b].TryEnqueue(v) {
-							runtime.Gosched()
-						}
-					} else {
-						runtime.Gosched()
-					}
-				}
-			}(b)
 		}
 	}
-	last := sc.Stages - 1
-	for w := 0; w < consumers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if moved[last].Load() >= uint64(total) {
-					return
+	enqueue := func(b int, v uint64) {
+		for !queues[b].TryEnqueue(v) {
+			runtime.Gosched()
+		}
+	}
+	return &run{
+		workers: p.producers + movers + p.consumers,
+		ops:     total,
+		work: func(w int) error {
+			switch {
+			case w < p.producers:
+				for i := 0; i < p.itemsPer; i++ {
+					v := uint64(w*p.itemsPer+i) + 1
+					wantSum.Add(v)
+					enqueue(0, v)
 				}
-				if v, ok := queues[last].TryDequeue(); ok {
-					moved[last].Add(1)
-					gotSum.Add(v)
-				} else {
-					runtime.Gosched()
-				}
+			case w < p.producers+movers:
+				b := 1 + (w-p.producers)/p.moversPer
+				drain(b-1, func(v uint64) { enqueue(b, v) })
+			default:
+				drain(p.sc.Stages-1, func(v uint64) { gotSum.Add(v) })
 			}
-		}()
+			return nil
+		},
+		finish: func() error {
+			if gotSum.Load() != wantSum.Load() {
+				return fmt.Errorf("conservation violated: consumed sum %d, produced sum %d",
+					gotSum.Load(), wantSum.Load())
+			}
+			return nil
+		},
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	if gotSum.Load() != wantSum.Load() {
-		return nil, fmt.Errorf("%s %s: conservation violated: consumed sum %d, produced sum %d",
-			sc.Name, impl, gotSum.Load(), wantSum.Load())
-	}
-	row := []string{
-		impl,
-		shards,
-		stallLabel,
-		fmt.Sprintf("%.0f", float64(total)/elapsed.Seconds()),
-		"-", "-", "-", "-", "-", "-", "-",
-	}
-	if finish != nil {
-		finish(row)
-	}
-	return row, nil
 }

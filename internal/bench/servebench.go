@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"wflocks/internal/serve"
@@ -29,67 +28,37 @@ import (
 // while a stalled wait-free winner is helped past, and the p99.9
 // column is where that difference lives.
 
-// serviceWorkers picks the server-side worker count: the host's
-// parallelism, floored at 4 so stalled winners always have runnable
-// helpers.
-func serviceWorkers() int {
-	if p := runtime.GOMAXPROCS(0); p > 4 {
-		return p
-	}
-	return 4
-}
-
-// serviceImpls lists the backends a scenario compares: its wait-free
-// backend and the conventional sharded-mutex design.
-func serviceImpls(sc *workload.ServiceScenario) []string {
-	return []string{sc.Backend, serve.BackendMutex}
-}
-
-// RunServiceScenario drives sc against its wait-free backend and the
-// mutex baseline, raw and stalled, and tabulates open-loop latency
-// percentiles.
-func RunServiceScenario(sc *workload.ServiceScenario, scale Scale) (*Table, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
+// serviceSweep drives sc against its wait-free backend and the
+// conventional sharded-mutex design, raw and stalled, and tabulates
+// open-loop latency percentiles.
+func serviceSweep(sc *workload.ServiceScenario, s Scale, _ []Variant) (*sweep, error) {
 	// p99.9 is the top 0.1% of samples; at quick scale it is a handful
 	// of requests and only sanity-checkable. Full scale stretches the
 	// window 4× so the tail the table reports rests on tens of samples
 	// per cell, not single digits.
 	duration := 4 * sc.Duration
-	if scale == Quick {
+	if s == Quick {
 		duration = sc.Duration / 8
 	}
-	workers := serviceWorkers()
-	t := &Table{
-		Title: fmt.Sprintf("%s: %.0f ops/s open-loop for %v, %d conns, %d workers, %d%%/%d%%/%d%% get/set/del, %d keys, skew %.1f",
+	// Server-side workers, floored at 4 so stalled winners always have
+	// runnable helpers.
+	workers := procsAtLeast(4)
+	sw := &sweep{
+		title: fmt.Sprintf("%s: %.0f ops/s open-loop for %v, %d conns, %d workers, %d%%/%d%%/%d%% get/set/del, %d keys, skew %.1f",
 			sc.Name, sc.Rate, duration, sc.Conns, workers, sc.GetPct, sc.SetPct, sc.DelPct, sc.Keys, sc.Skew),
-		Header: []string{"impl", "stall", "sent", "done", "errs", "p50", "p99", "p99.9", "max", "ops/sec"},
+		stalls: true,
+		cols:   []string{"sent", "done", "errs", "p50", "p99", "p99.9", "max", "ops/sec"},
+		notes: []string{
+			"open-loop, coordinated-omission-safe: latency is measured from each request's scheduled send time, so queueing delay behind a stalled server is in the percentiles",
+			"raw regime: the mutex baseline's constant factors usually win — every wait-free op pays the adaptive variant's padded delays",
+			fmt.Sprintf("stall regime: every %dth backend value write sleeps %v while its lock is held; a stalled mutex holder backs up its shard, a stalled wait-free winner is helped past", workload.StallPeriod, workload.StallDur)},
 	}
-	for _, stalled := range []bool{false, true} {
-		label := "none"
-		if stalled {
-			label = fmt.Sprintf("%v/%d", StallDur, StallPeriod)
-		}
-		for _, impl := range serviceImpls(sc) {
-			res, err := runServiceOnce(sc, impl, stalled, duration, workers)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s stall=%v: %w", sc.Name, impl, stalled, err)
-			}
-			t.AddRow(implLabel(impl), label,
-				res.Total.Sent, res.Total.Done, res.Total.Errors,
-				res.Quantile(0.50).Round(time.Microsecond),
-				res.Quantile(0.99).Round(time.Microsecond),
-				res.Quantile(0.999).Round(time.Microsecond),
-				time.Duration(res.Total.Hist.Max()).Round(time.Microsecond),
-				fmt.Sprintf("%.0f", res.AchievedRate))
-		}
+	for _, impl := range []string{sc.Backend, serve.BackendMutex} {
+		sw.rows = append(sw.rows, row{implLabel(impl), "", func(sp *workload.StallPoint) (*run, error) {
+			return serviceRun(sc, impl, duration, workers, sp)
+		}})
 	}
-	t.Notes = append(t.Notes,
-		"open-loop, coordinated-omission-safe: latency is measured from each request's scheduled send time, so queueing delay behind a stalled server is in the percentiles",
-		"raw regime: the mutex baseline's constant factors usually win — every wait-free op pays the adaptive variant's padded delays",
-		fmt.Sprintf("stall regime: every %dth backend value write sleeps %v while its lock is held; a stalled mutex holder backs up its shard, a stalled wait-free winner is helped past", StallPeriod, StallDur))
-	return t, nil
+	return sw, nil
 }
 
 // implLabel names a backend for the table.
@@ -100,10 +69,10 @@ func implLabel(impl string) string {
 	return "wf-" + impl
 }
 
-// runServiceOnce runs one impl × regime cell: build the server over a
-// loopback listener, prefill, arm the stall schedule, run the
-// open-loop load, drain.
-func runServiceOnce(sc *workload.ServiceScenario, impl string, stalled bool, duration time.Duration, workers int) (*loadgen.Result, error) {
+// serviceRun builds one impl × regime cell over a loopback listener
+// and prefills it; its timed run is the open-loop load, and finish
+// drains the server.
+func serviceRun(sc *workload.ServiceScenario, impl string, duration time.Duration, workers int, sp *workload.StallPoint) (*run, error) {
 	// Size the server to the scenario rather than taking the roomy
 	// defaults: the wait-free manager's per-acquisition delays scale
 	// with the critical-step bound T, and T is linear in per-shard
@@ -119,7 +88,6 @@ func runServiceOnce(sc *workload.ServiceScenario, impl string, stalled bool, dur
 	if capacity < 256 {
 		capacity = 256
 	}
-	var sp *StallPoint
 	cfg := serve.Config{
 		Backend:     impl,
 		Workers:     workers,
@@ -128,10 +96,8 @@ func runServiceOnce(sc *workload.ServiceScenario, impl string, stalled bool, dur
 		MaxConns:    sc.Conns + 2,
 		MaxKeyBytes: 16,
 		MaxValBytes: sc.ValBytes,
-		NewManager:  AdaptiveManager,
 	}
-	if stalled {
-		sp = NewStallPoint(StallPeriod, StallDur)
+	if sp != nil {
 		cfg.Stall = sp.Hit
 	}
 	s, err := serve.NewServer(cfg)
@@ -141,45 +107,61 @@ func runServiceOnce(sc *workload.ServiceScenario, impl string, stalled bool, dur
 	lis := serve.NewLoopback()
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- s.Serve(lis) }()
+	stop := func() error {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			return fmt.Errorf("shutdown: %w", err)
+		}
+		if err := <-serveDone; err != nil {
+			return fmt.Errorf("serve: %w", err)
+		}
+		return nil
+	}
 
 	// Prefill through the backend directly (not the wire) so the stall
-	// schedule, armed below, belongs entirely to the measured run.
+	// schedule, armed after the build, belongs entirely to the measured
+	// run.
 	if sc.Prefill {
 		val := loadgen.Val(sc.ValBytes)
 		for k := 0; k < sc.Keys; k++ {
 			if err := s.Backend().Set(loadgen.Key(k), val, 0); err != nil {
+				_ = stop() // the prefill error is the one to report
 				return nil, fmt.Errorf("prefill key %d: %w", k, err)
 			}
 		}
 	}
-	sp.Arm()
-
-	ctx, cancel := context.WithTimeout(context.Background(), duration+60*time.Second)
-	defer cancel()
-	res, runErr := loadgen.Run(ctx, lis.Dial, loadgen.Config{
-		Rate:      sc.Rate,
-		Duration:  duration,
-		Conns:     sc.Conns,
-		Keys:      sc.Keys,
-		Skew:      sc.Skew,
-		GetPct:    sc.GetPct,
-		SetPct:    sc.SetPct,
-		DelPct:    sc.DelPct,
-		ValBytes:  sc.ValBytes,
-		SlowConns: sc.SlowConns,
-		SlowDelay: sc.SlowDelay,
-	})
-
-	sdCtx, sdCancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer sdCancel()
-	if err := s.Shutdown(sdCtx); err != nil {
-		return nil, fmt.Errorf("shutdown: %w", err)
-	}
-	if err := <-serveDone; err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	return res, nil
+	var res *loadgen.Result
+	return &run{
+		workers: 1,
+		work: func(int) (err error) {
+			ctx, cancel := context.WithTimeout(context.Background(), duration+60*time.Second)
+			defer cancel()
+			res, err = loadgen.Run(ctx, lis.Dial, loadgen.Config{
+				Rate:      sc.Rate,
+				Duration:  duration,
+				Conns:     sc.Conns,
+				Keys:      sc.Keys,
+				Skew:      sc.Skew,
+				GetPct:    sc.GetPct,
+				SetPct:    sc.SetPct,
+				DelPct:    sc.DelPct,
+				ValBytes:  sc.ValBytes,
+				SlowConns: sc.SlowConns,
+				SlowDelay: sc.SlowDelay,
+			})
+			return err
+		},
+		finish: stop,
+		cols: func(*tally) []string {
+			return []string{
+				fmt.Sprint(res.Total.Sent), fmt.Sprint(res.Total.Done), fmt.Sprint(res.Total.Errors),
+				fmt.Sprint(res.Quantile(0.50).Round(time.Microsecond)),
+				fmt.Sprint(res.Quantile(0.99).Round(time.Microsecond)),
+				fmt.Sprint(res.Quantile(0.999).Round(time.Microsecond)),
+				fmt.Sprint(time.Duration(res.Total.Hist.Max()).Round(time.Microsecond)),
+				fmt.Sprintf("%.0f", res.AchievedRate),
+			}
+		},
+	}, nil
 }

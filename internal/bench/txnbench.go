@@ -3,11 +3,8 @@ package bench
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"time"
 
 	"wflocks"
-	"wflocks/internal/env"
 	"wflocks/internal/workload"
 )
 
@@ -51,35 +48,16 @@ const txnInitial = 100
 // holds them all for the duration of the body. A stalled holder blocks
 // every shard it holds.
 type MultiMutexMap struct {
-	shards []mutexShard
-	mask   uint64
-	stall  *StallPoint
+	MutexMap // single-key access (the prefill path) and the shard layout
+	stall    *workload.StallPoint
 }
 
 // NewMultiMutexMap creates a baseline map with the given shard count
 // (rounded up to a power of two). stall, which may be nil, is drawn
 // once per value write while the shard mutexes are held, mirroring
 // wfmap's in-critical-section value encodes.
-func NewMultiMutexMap(shardCount int, stall *StallPoint) *MultiMutexMap {
-	n := nextPow2(shardCount)
-	mm := &MultiMutexMap{shards: make([]mutexShard, n), mask: uint64(n - 1), stall: stall}
-	for i := range mm.shards {
-		mm.shards[i].m = make(map[uint64]uint64)
-	}
-	return mm
-}
-
-// shardIndex uses the same SplitMix64 mixing family as wfmap's hash.
-func (mm *MultiMutexMap) shardIndex(k uint64) uint64 {
-	return env.Mix(0, k) & mm.mask
-}
-
-// Put stores v for k under its single shard mutex (prefill path).
-func (mm *MultiMutexMap) Put(k, v uint64) {
-	sh := &mm.shards[mm.shardIndex(k)]
-	sh.mu.Lock()
-	sh.m[k] = v
-	sh.mu.Unlock()
+func NewMultiMutexMap(shardCount int, stall *workload.StallPoint) *MultiMutexMap {
+	return &MultiMutexMap{MutexMap: *NewMutexMap(shardCount), stall: stall}
 }
 
 // Sum reads the whole map (quiescent; conservation audits).
@@ -134,75 +112,91 @@ func (mm *MultiMutexMap) Atomic(keys []uint64, fn func(get func(uint64) (uint64,
 	}
 }
 
-// RunTxnScenario drives sc against wfmap Atomic (under both delay
-// variants) and the sorted multi-mutex baseline across the L sweep, in
-// the raw and holder-stall regimes, and tabulates throughput,
-// per-attempt success rate and the conservation audit.
-func RunTxnScenario(sc *workload.TxnScenario, scale Scale) (*Table, error) {
-	return RunTxnScenarioVariants(sc, scale, AllVariants)
-}
-
-// RunTxnScenarioVariants is RunTxnScenario restricted to the given
-// delay variants (the -variant flag).
-func RunTxnScenarioVariants(sc *workload.TxnScenario, scale Scale, variants []Variant) (*Table, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	opsPer := 50
-	if scale == Full {
-		opsPer = 400
-	}
-	t := &Table{
-		Title: fmt.Sprintf("%s: %d%%/%d%% transfer/read, %d keys, skew %.1f, %d workers × %d txns, L swept",
+// txnSweep drives sc against wfmap Atomic (under each delay variant)
+// and the sorted multi-mutex baseline across the L sweep, in the raw
+// and holder-stall regimes, and tabulates throughput, per-attempt
+// success rate and the conservation audit.
+func txnSweep(sc *workload.TxnScenario, s Scale, vs []Variant) (*sweep, error) {
+	opsPer := s.pick(50, 400)
+	sw := &sweep{
+		title: fmt.Sprintf("%s: %d%%/%d%% transfer/read, %d keys, skew %.1f, %d workers × %d txns, L swept",
 			sc.Name, sc.TransferPct, 100-sc.TransferPct, sc.Keys, sc.Skew, txnWorkers, opsPer),
-		Header: append([]string{"impl", "L", "stall", "txns/sec", "success", "attempts/txn", "conserved"}, ObsHeader...),
+		param:  "L",
+		stalls: true,
+		rate:   "txns/sec",
+		cols:   []string{"success", "attempts/txn", "conserved"},
+		obs:    true,
+		notes: []string{
+			"each wfmap row runs its own manager sized for its L: WithMaxLocks(L), T = MapAtomicSteps(cap, 1, 1, L)",
+			"adaptive rows use WithUnknownBounds delays that track point contention (the recommended default); known rows pay the fixed delays",
+			"raw regime: the known-bounds delays grow as κ²L²·T(L) — the documented price of wait-freedom, steepest at L=8",
+			fmt.Sprintf("stall regime: holders stall mid-transaction (%v every %d value writes); wfmap helpers absorb stalls, the sorted-mutex baseline serializes them across every held shard", workload.StallDur, workload.StallPeriod),
+			"conserved audits the transfer invariant: the keyspace sum must equal the prefill exactly"},
 	}
-	for _, stalled := range []bool{false, true} {
-		label := "none"
-		newSP := func() *StallPoint { return nil }
-		if stalled {
-			label = fmt.Sprintf("%v/%d", StallDur, StallPeriod)
-			newSP = func() *StallPoint { return NewStallPoint(StallPeriod, StallDur) }
-		}
-		for _, v := range variants {
-			for _, l := range txnLCounts {
-				row, err := runWfmapTxn(sc, v, l, opsPer, label, newSP())
-				if err != nil {
-					return nil, err
-				}
-				t.Rows = append(t.Rows, row)
-			}
-		}
+	for _, v := range vs {
 		for _, l := range txnLCounts {
-			t.Rows = append(t.Rows, runMultiMutexTxn(sc, l, opsPer, label, newSP()))
+			sw.rows = append(sw.rows, row{"wfmap/" + string(v), fmt.Sprint(l), func(sp *workload.StallPoint) (*run, error) {
+				return wfmapTxnRun(sc, v, l, opsPer, sp)
+			}})
 		}
 	}
-	t.Notes = append(t.Notes,
-		"each wfmap row runs its own manager sized for its L: WithMaxLocks(L), T = MapAtomicSteps(cap, 1, 1, L)",
-		"adaptive rows use WithUnknownBounds delays that track point contention (the recommended default); known rows pay the fixed delays",
-		"raw regime: the known-bounds delays grow as κ²L²·T(L) — the documented price of wait-freedom, steepest at L=8",
-		"stall regime: holders stall mid-transaction ("+fmt.Sprintf("%v every %d value writes", StallDur, StallPeriod)+"); wfmap helpers absorb stalls, the sorted-mutex baseline serializes them across every held shard",
-		"conserved audits the transfer invariant: the keyspace sum must equal the prefill exactly")
-	return t, nil
+	for _, l := range txnLCounts {
+		sw.rows = append(sw.rows, row{"multimutex", fmt.Sprint(l), func(sp *workload.StallPoint) (*run, error) {
+			return multiMutexTxnRun(sc, l, opsPer, sp), nil
+		}})
+	}
+	return sw, nil
 }
 
 // txnMapShards is the shard count of both implementations in the sweep
 // (fixed so L, not the shard layout, is the swept variable).
 const txnMapShards = 8
 
-// runWfmapTxn measures one wfmap configuration at keys-per-txn l under
-// one delay variant.
-func runWfmapTxn(sc *workload.TxnScenario, v Variant, l, opsPer int, stallLabel string, sp *StallPoint) ([]string, error) {
+// txnWork is a txn row's per-goroutine share of the timed run: opsPer
+// transactions over l keys drawn from the goroutine's own stream, each
+// run by atomic. The keys buffer is reused across transactions.
+func txnWork(sc *workload.TxnScenario, l, opsPer int, atomic func(kind workload.TxnOp, keys []uint64) error) func(int) error {
+	return func(w int) error {
+		st := workload.NewTxnOpStream(sc, l, workerSeed(w))
+		keys := make([]uint64, l)
+		for i := 0; i < opsPer; i++ {
+			kind, drawn := st.Next()
+			for j, k := range drawn {
+				keys[j] = uint64(k)
+			}
+			if err := atomic(kind, keys); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// transfer is the transfer body both implementations run: every key
+// after the first gives one unit to the first, if it has one. The
+// credit write is unconditional so every L — including 1 — writes at
+// least one value per transaction (and draws the stall schedule).
+func transfer(keys []uint64, get func(uint64) (uint64, bool), put func(uint64, uint64)) {
+	gained := uint64(0)
+	for _, k := range keys[1:] {
+		if v, ok := get(k); ok && v > 0 {
+			put(k, v-1)
+			gained++
+		}
+	}
+	v, _ := get(keys[0])
+	put(keys[0], v+gained)
+}
+
+// wfmapTxnRun builds one wfmap configuration at keys-per-txn l under
+// one delay variant. A conservation violation fails the run.
+func wfmapTxnRun(sc *workload.TxnScenario, v Variant, l, opsPer int, sp *workload.StallPoint) (*run, error) {
 	capPerShard := nextPow2(2 * sc.Keys / txnMapShards)
 	m, err := NewManager(v, txnWorkers, l, wflocks.MapAtomicSteps(capPerShard, 1, 1, l), wflocks.WithMetrics())
 	if err != nil {
 		return nil, err
 	}
-	vc := wflocks.Codec[uint64](wflocks.IntegerCodec[uint64]())
-	if sp != nil {
-		vc = StallValueCodec(sp)
-	}
-	mp, err := wflocks.NewMapOf[uint64, uint64](m, wflocks.IntegerCodec[uint64](), vc,
+	mp, err := wflocks.NewMapOf[uint64, uint64](m, wflocks.IntegerCodec[uint64](), StallValueCodec(sp),
 		wflocks.WithShards(txnMapShards), wflocks.WithShardCapacity(capPerShard))
 	if err != nil {
 		return nil, err
@@ -212,144 +206,66 @@ func runWfmapTxn(sc *workload.TxnScenario, v Variant, l, opsPer int, stallLabel 
 			return nil, err
 		}
 	}
-	sp.Arm()
-	base := m.Stats()
-	obsBase := m.Observe()
-	var wg sync.WaitGroup
-	errc := make(chan error, txnWorkers)
-	start := time.Now()
-	for w := 0; w < txnWorkers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			st := workload.NewTxnOpStream(sc, l, uint64(w)*0x9e3779b97f4a7c15+1)
-			keys := make([]uint64, l)
-			for i := 0; i < opsPer; i++ {
-				kind, drawn := st.Next()
-				for j, k := range drawn {
-					keys[j] = uint64(k)
-				}
-				// Bodies iterate tx.Keys(), never the reused keys buffer: a
-				// straggling helper may re-execute a body after this worker
-				// has refilled the buffer for its next transaction.
-				var err error
-				switch kind {
-				case workload.TxnTransfer:
-					err = mp.Atomic(keys, func(tx *wflocks.MapTxn[uint64, uint64]) {
-						ks := tx.Keys()
-						gained := uint64(0)
-						for _, k := range ks[1:] {
-							if v, ok := tx.Get(k); ok && v > 0 {
-								tx.Put(k, v-1)
-								gained++
-							}
-						}
-						// The credit write is unconditional so every L —
-						// including 1 — writes at least one value per
-						// transaction (and draws the stall schedule).
-						v, _ := tx.Get(ks[0])
-						tx.Put(ks[0], v+gained)
-					})
-				case workload.TxnRead:
-					err = mp.Atomic(keys, func(tx *wflocks.MapTxn[uint64, uint64]) {
-						for _, k := range tx.Keys() {
-							tx.Get(k)
-						}
-					})
-				}
-				if err != nil {
-					errc <- err
-					return
-				}
+	return &run{
+		mgrs:    []*wflocks.Manager{m},
+		workers: txnWorkers,
+		ops:     txnWorkers * opsPer,
+		// Bodies read tx.Keys(), never the reused keys buffer: a
+		// straggling helper may re-execute a body after its worker has
+		// refilled the buffer for its next transaction.
+		work: txnWork(sc, l, opsPer, func(kind workload.TxnOp, keys []uint64) error {
+			if kind == workload.TxnTransfer {
+				return mp.Atomic(keys, func(tx *wflocks.MapTxn[uint64, uint64]) {
+					transfer(tx.Keys(), tx.Get, func(k, v uint64) { tx.Put(k, v) })
+				})
 			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	select {
-	case err := <-errc:
-		return nil, err
-	default:
-	}
-	total := uint64(0)
-	for _, v := range mp.All() {
-		total += v
-	}
-	conserved := "yes"
-	if total != uint64(sc.Keys)*txnInitial {
-		return nil, fmt.Errorf("wfmap L=%d: conservation violated: sum %d, want %d",
-			l, total, sc.Keys*txnInitial)
-	}
-	delta := m.Stats().Sub(base)
-	totalOps := txnWorkers * opsPer
-	return append([]string{
-		"wfmap/" + string(v),
-		fmt.Sprint(l),
-		stallLabel,
-		fmt.Sprintf("%.0f", float64(totalOps)/elapsed.Seconds()),
-		fmt.Sprintf("%.3f", delta.SuccessRate()),
-		fmt.Sprintf("%.2f", float64(delta.Attempts)/float64(totalOps)),
-		conserved,
-	}, ObsCols(m, delta, obsBase)...), nil
+			return mp.Atomic(keys, func(tx *wflocks.MapTxn[uint64, uint64]) {
+				for _, k := range tx.Keys() {
+					tx.Get(k)
+				}
+			})
+		}),
+		finish: func() error {
+			total := uint64(0)
+			for _, v := range mp.All() {
+				total += v
+			}
+			if total != uint64(sc.Keys)*txnInitial {
+				return fmt.Errorf("conservation violated: sum %d, want %d", total, sc.Keys*txnInitial)
+			}
+			return nil
+		},
+		cols: func(t *tally) []string { return []string{t.success(), t.attemptsPer(t.ops), "yes"} },
+	}, nil
 }
 
-// runMultiMutexTxn measures the baseline at keys-per-txn l.
-func runMultiMutexTxn(sc *workload.TxnScenario, l, opsPer int, stallLabel string, sp *StallPoint) []string {
+// multiMutexTxnRun builds the baseline at keys-per-txn l.
+func multiMutexTxnRun(sc *workload.TxnScenario, l, opsPer int, sp *workload.StallPoint) *run {
 	mm := NewMultiMutexMap(txnMapShards, sp)
 	for k := 0; k < sc.Keys; k++ {
 		mm.Put(uint64(k), txnInitial)
 	}
-	sp.Arm()
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < txnWorkers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			st := workload.NewTxnOpStream(sc, l, uint64(w)*0x9e3779b97f4a7c15+1)
-			keys := make([]uint64, l)
-			for i := 0; i < opsPer; i++ {
-				kind, drawn := st.Next()
-				for j, k := range drawn {
-					keys[j] = uint64(k)
+	return &run{
+		workers: txnWorkers,
+		ops:     txnWorkers * opsPer,
+		work: txnWork(sc, l, opsPer, func(kind workload.TxnOp, keys []uint64) error {
+			mm.Atomic(keys, func(get func(uint64) (uint64, bool), put func(uint64, uint64)) {
+				if kind == workload.TxnTransfer {
+					transfer(keys, get, put)
+					return
 				}
-				switch kind {
-				case workload.TxnTransfer:
-					mm.Atomic(keys, func(get func(uint64) (uint64, bool), put func(uint64, uint64)) {
-						gained := uint64(0)
-						for _, k := range keys[1:] {
-							if v, ok := get(k); ok && v > 0 {
-								put(k, v-1)
-								gained++
-							}
-						}
-						v, _ := get(keys[0])
-						put(keys[0], v+gained)
-					})
-				case workload.TxnRead:
-					mm.Atomic(keys, func(get func(uint64) (uint64, bool), put func(uint64, uint64)) {
-						for _, k := range keys {
-							get(k)
-						}
-					})
+				for _, k := range keys {
+					get(k)
 				}
+			})
+			return nil
+		}),
+		cols: func(t *tally) []string {
+			conserved := "yes"
+			if mm.Sum() != uint64(sc.Keys)*txnInitial {
+				conserved = "NO"
 			}
-		}(w)
+			return []string{t.success(), t.attemptsPer(t.ops), conserved}
+		},
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	conserved := "yes"
-	if mm.Sum() != uint64(sc.Keys)*txnInitial {
-		conserved = "NO"
-	}
-	totalOps := txnWorkers * opsPer
-	return append([]string{
-		"multimutex",
-		fmt.Sprint(l),
-		stallLabel,
-		fmt.Sprintf("%.0f", float64(totalOps)/elapsed.Seconds()),
-		"-",
-		"-",
-		conserved,
-	}, ObsBlank()...)
 }

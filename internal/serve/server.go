@@ -103,15 +103,6 @@ type Config struct {
 	// bound.
 	WatchdogDelaySteps uint64
 	WatchdogHelpRun    time.Duration
-	// NewManager builds the wait-free lock manager hosting the backend
-	// and the dispatch pool. procs is the peak number of goroutines
-	// that may contend (workers + connections + headroom), maxLocks and
-	// maxCritical the bounds the structures need; extra carries the
-	// observability options the Metrics/TraceSample fields selected.
-	// Nil selects the paper's §6.2 unknown-bounds adaptive-delay
-	// configuration — the variant the queue benchmarks proved out
-	// (internal/bench's AdaptiveManager is the same shape).
-	NewManager func(procs, maxLocks, maxCritical int, extra ...wflocks.Option) (*wflocks.Manager, error)
 }
 
 // withDefaults fills unset fields.
@@ -166,16 +157,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.TraceRing <= 0 {
 		cfg.TraceRing = 65536
-	}
-	if cfg.NewManager == nil {
-		cfg.NewManager = func(procs, maxLocks, maxCritical int, extra ...wflocks.Option) (*wflocks.Manager, error) {
-			opts := []wflocks.Option{
-				wflocks.WithUnknownBounds(procs),
-				wflocks.WithMaxLocks(maxLocks),
-				wflocks.WithMaxCriticalSteps(maxCritical),
-			}
-			return wflocks.New(append(opts, extra...)...)
-		}
 	}
 	return cfg
 }
@@ -270,7 +251,10 @@ func NewServer(cfg Config) (*Server, error) {
 	// The manager hosts the backend's shard locks and the pool's shard
 	// locks: L=2 covers the pool's steal path, T the larger of the two
 	// structures' worst critical sections, and the process bound covers
-	// workers + every connection reader + headroom.
+	// workers + every connection reader + headroom. It runs the paper's
+	// §6.2 unknown-bounds adaptive delays: per-shard contention in a
+	// server is far below the process bound, and the adaptive delays
+	// track what actually contends.
 	kw := wflocks.StringCodec(cfg.MaxKeyBytes).Words()
 	vw := wflocks.StringCodec(cfg.MaxValBytes).Words()
 	perShard := nextPow2((cfg.Capacity + cfg.Shards - 1) / cfg.Shards)
@@ -286,18 +270,21 @@ func NewServer(cfg Config) (*Server, error) {
 			maxCritical = b
 		}
 	}
-	procs := cfg.Workers + cfg.MaxConns + 4
-	var extra []wflocks.Option
+	opts := []wflocks.Option{
+		wflocks.WithUnknownBounds(cfg.Workers + cfg.MaxConns + 4),
+		wflocks.WithMaxLocks(2),
+		wflocks.WithMaxCriticalSteps(maxCritical),
+	}
 	if cfg.TraceSample > 0 {
-		extra = append(extra, wflocks.WithTracing(cfg.TraceSample),
+		opts = append(opts, wflocks.WithTracing(cfg.TraceSample),
 			wflocks.WithTraceRing(cfg.TraceRing))
 	} else if cfg.Metrics {
-		extra = append(extra, wflocks.WithMetrics())
+		opts = append(opts, wflocks.WithMetrics())
 	}
 	if cfg.WatchdogDelaySteps > 0 || cfg.WatchdogHelpRun > 0 {
-		extra = append(extra, wflocks.WithStallWatchdog(cfg.WatchdogDelaySteps, cfg.WatchdogHelpRun))
+		opts = append(opts, wflocks.WithStallWatchdog(cfg.WatchdogDelaySteps, cfg.WatchdogHelpRun))
 	}
-	mgr, err := cfg.NewManager(procs, 2, maxCritical, extra...)
+	mgr, err := wflocks.New(opts...)
 	if err != nil {
 		return nil, fmt.Errorf("serve: building manager: %w", err)
 	}

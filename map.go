@@ -401,20 +401,6 @@ func (mp *Map[K, V]) Values() iter.Seq[V] {
 	}
 }
 
-// Range calls f for every entry until f returns false, with All's
-// snapshot semantics.
-//
-// Deprecated: Range predates Go 1.23 iterators; use All (or Keys,
-// Values) with range-over-func instead. Range remains as a thin wrapper
-// and will not be removed, but new code should range over All().
-func (mp *Map[K, V]) Range(f func(k K, v V) bool) {
-	for k, v := range mp.All() {
-		if !f(k, v) {
-			return
-		}
-	}
-}
-
 // MapShardStats is one shard's view in MapStats.
 type MapShardStats struct {
 	// Lock carries the shard lock's contention counters (these same

@@ -271,33 +271,31 @@ func TestMapRange(t *testing.T) {
 		}
 	}
 	got := map[uint64]uint64{}
-	mp.Range(func(k, v uint64) bool {
+	for k, v := range mp.All() {
 		got[k] = v
-		return true
-	})
+	}
 	if len(got) != len(want) {
-		t.Fatalf("Range visited %d entries, want %d", len(got), len(want))
+		t.Fatalf("All visited %d entries, want %d", len(got), len(want))
 	}
 	for k, v := range want {
 		if got[k] != v {
-			t.Fatalf("Range saw %d=%d, want %d", k, got[k], v)
+			t.Fatalf("All saw %d=%d, want %d", k, got[k], v)
 		}
 	}
-	// Early termination stops the iteration.
+	// Breaking out stops the iteration.
 	visits := 0
-	mp.Range(func(k, v uint64) bool {
+	for range mp.All() {
 		visits++
-		return false
-	})
-	if visits != 1 {
-		t.Fatalf("Range after false = %d visits, want 1", visits)
+		break
 	}
-	// The callback may call back into the map (it runs outside any
+	if visits != 1 {
+		t.Fatalf("All after break = %d visits, want 1", visits)
+	}
+	// The loop body may call back into the map (it runs outside any
 	// critical section).
-	mp.Range(func(k, v uint64) bool {
+	for k := range mp.All() {
 		_, _ = mp.Get(k)
-		return true
-	})
+	}
 }
 
 // TestMapMultiWordCodecs exercises multi-word struct keys and values
@@ -500,19 +498,18 @@ func TestMapConcurrent(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	// Len must equal the number of Range-visible entries at quiescence,
+	// Len must equal the number of All-visible entries at quiescence,
 	// and every key must round-trip.
 	seen := 0
-	mp.Range(func(k, v uint64) bool {
+	for k, v := range mp.All() {
 		seen++
 		got, ok := mp.Get(k)
 		if !ok || got != v {
-			t.Errorf("Range/Get disagree on %d: (%d, %v) vs %d", k, got, ok, v)
+			t.Errorf("All/Get disagree on %d: (%d, %v) vs %d", k, got, ok, v)
 		}
-		return true
-	})
+	}
 	if got := mp.Len(); got != seen {
-		t.Errorf("Len = %d but Range saw %d entries", got, seen)
+		t.Errorf("Len = %d but All saw %d entries", got, seen)
 	}
 	st := mp.Stats()
 	if len(st.Shards) != numShards {

@@ -169,10 +169,10 @@ func (o ObsSnapshot) Sub(prev ObsSnapshot) ObsSnapshot {
 	d.Acquire = o.Acquire.Sub(prev.Acquire)
 	d.DelayIters = o.DelayIters.Sub(prev.DelayIters)
 	d.HelpRun = o.HelpRun.Sub(prev.HelpRun)
-	d.AttemptSteps = subSatObs(o.AttemptSteps, prev.AttemptSteps)
-	d.DelaySteps = subSatObs(o.DelaySteps, prev.DelaySteps)
-	d.HelpNanos = subSatObs(o.HelpNanos, prev.HelpNanos)
-	d.StallAlerts = subSatObs(o.StallAlerts, prev.StallAlerts)
+	d.AttemptSteps = subSat(o.AttemptSteps, prev.AttemptSteps)
+	d.DelaySteps = subSat(o.DelaySteps, prev.DelaySteps)
+	d.HelpNanos = subSat(o.HelpNanos, prev.HelpNanos)
+	d.StallAlerts = subSat(o.StallAlerts, prev.StallAlerts)
 	if len(o.Locks) > 0 {
 		prevByID := make(map[int]LockAttrib, len(prev.Locks))
 		for _, p := range prev.Locks {
@@ -183,23 +183,14 @@ func (o ObsSnapshot) Sub(prev ObsSnapshot) ObsSnapshot {
 			p := prevByID[l.LockID]
 			d.Locks[i] = LockAttrib{
 				LockID:     l.LockID,
-				Helps:      subSatObs(l.Helps, p.Helps),
-				HelpNanos:  subSatObs(l.HelpNanos, p.HelpNanos),
-				DelaySteps: subSatObs(l.DelaySteps, p.DelaySteps),
-				Alerts:     subSatObs(l.Alerts, p.Alerts),
+				Helps:      subSat(l.Helps, p.Helps),
+				HelpNanos:  subSat(l.HelpNanos, p.HelpNanos),
+				DelaySteps: subSat(l.DelaySteps, p.DelaySteps),
+				Alerts:     subSat(l.Alerts, p.Alerts),
 			}
 		}
 	}
 	return d
-}
-
-// subSatObs is saturating uint64 subtraction: mutually skewed live
-// snapshots degrade to 0 instead of wrapping.
-func subSatObs(a, b uint64) uint64 {
-	if a < b {
-		return 0
-	}
-	return a - b
 }
 
 // decodeEvents converts raw flight-recorder entries to their public

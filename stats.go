@@ -93,7 +93,9 @@ func (s StatsSnapshot) Sub(prev StatsSnapshot) StatsSnapshot {
 	return d
 }
 
-// subSat is a − b saturating at zero.
+// subSat is a − b saturating at zero, so mutually skewed live
+// snapshots degrade to 0 instead of wrapping. StatsSnapshot.Sub and
+// ObsSnapshot.Sub both use it.
 func subSat(a, b uint64) uint64 {
 	if a < b {
 		return 0
