@@ -193,6 +193,15 @@ func TestRunQueueScenario(t *testing.T)   { testScenarioFamily(t, "queue") }
 func TestRunLogScenario(t *testing.T)     { testScenarioFamily(t, "log") }
 func TestRunServiceScenario(t *testing.T) { testScenarioFamily(t, "service") }
 
+// TestRunServiceScenarioRejectsInvalid covers the service runner's
+// validation path on its own: a scenario naming an unknown backend is
+// refused before any server is started.
+func TestRunServiceScenarioRejectsInvalid(t *testing.T) {
+	if err := scenarioCases["service"].bad(); err == nil {
+		t.Fatal("invalid scenario accepted")
+	}
+}
+
 // TestScenarioFamiliesComplete pins the family table to the registry:
 // every registered scenario has a runner, every family a test case,
 // and an unregistered name has neither.
