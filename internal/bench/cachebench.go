@@ -220,7 +220,7 @@ func wfcacheRun(sc *workload.CacheScenario, v Variant, shards, workers, opsPer i
 	for k := 0; k < sc.Capacity; k++ {
 		cache.Put(uint64(k), uint64(k)*3)
 	}
-	var base wflocks.CacheStats
+	base := cache.Stats()
 	return &run{
 		mgrs:    []*wflocks.Manager{m},
 		workers: workers,
@@ -229,7 +229,6 @@ func wfcacheRun(sc *workload.CacheScenario, v Variant, shards, workers, opsPer i
 			func(k uint64) { cache.GetOrCompute(k, func() uint64 { return k * 3 }) },
 			func(k, v uint64) { cache.Put(k, v) },
 			func(k uint64) { cache.Delete(k) }),
-		mark: func() { base = cache.Stats() },
 		cols: func(t *tally) []string {
 			cs := cache.Stats()
 			return cacheCols(t, cs.Hits-base.Hits, cs.Misses-base.Misses, cs.Evictions-base.Evictions,
@@ -245,7 +244,7 @@ func mutexLRURun(sc *workload.CacheScenario, workers, opsPer int, sp *workload.S
 	for k := 0; k < sc.Capacity; k++ {
 		c.Put(uint64(k), uint64(k)*3)
 	}
-	var h0, m0, e0 uint64
+	h0, m0, e0 := c.Counters()
 	return &run{
 		workers: workers,
 		ops:     workers * opsPer,
@@ -257,7 +256,6 @@ func mutexLRURun(sc *workload.CacheScenario, workers, opsPer int, sp *workload.S
 			},
 			c.Put,
 			func(k uint64) { c.Delete(k) }),
-		mark: func() { h0, m0, e0 = c.Counters() },
 		cols: func(t *tally) []string {
 			hits, misses, evictions := c.Counters()
 			return cacheCols(t, hits-h0, misses-m0, evictions-e0, "-")

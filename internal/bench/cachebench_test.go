@@ -48,9 +48,12 @@ func TestMutexLRUBasic(t *testing.T) {
 }
 
 func TestStallValueCodecRoundTrip(t *testing.T) {
-	// Period 1: every armed draw stalls, so the one encode below must
-	// sleep once and the decode not at all.
-	sp := workload.NewStallPoint(1, 5*time.Millisecond)
+	// Period 2: the second armed draw stalls. Encode must draw exactly
+	// once and Decode never, so the stall lands in the second Encode: a
+	// double-drawing Encode would sleep in the first, and a drawing
+	// Decode would take the stall itself and leave the second Encode fast.
+	const d = 40 * time.Millisecond
+	sp := workload.NewStallPoint(2, d)
 	vc := StallValueCodec(sp)
 	if vc.Words() != 1 {
 		t.Fatalf("Words = %d, want 1", vc.Words())
@@ -59,11 +62,20 @@ func TestStallValueCodecRoundTrip(t *testing.T) {
 	var buf [1]uint64
 	start := time.Now()
 	vc.Encode(12345, buf[:])
-	if elapsed := time.Since(start); elapsed < 5*time.Millisecond {
-		t.Fatalf("armed encode took %v, want one 5ms stall", elapsed)
+	if elapsed := time.Since(start); elapsed >= d/2 {
+		t.Fatalf("first armed encode took %v, want no stall (encode drew more than once)", elapsed)
 	}
+	start = time.Now()
 	if got := vc.Decode(buf[:]); got != 12345 {
 		t.Fatalf("round trip = %d, want 12345", got)
+	}
+	if elapsed := time.Since(start); elapsed >= d/2 {
+		t.Fatalf("decode took %v, want no stall (decode drew)", elapsed)
+	}
+	start = time.Now()
+	vc.Encode(12345, buf[:])
+	if elapsed := time.Since(start); elapsed < d {
+		t.Fatalf("second armed encode took %v, want one %v stall", elapsed, d)
 	}
 	if StallValueCodec(nil).Words() != 1 {
 		t.Fatal("nil stall point codec is not single-word")

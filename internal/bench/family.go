@@ -56,9 +56,6 @@ type run struct {
 	work    func(w int) error
 	// ops is what the throughput column counts.
 	ops int
-	// mark, when set, snapshots the implementation's own counters
-	// alongside the managers', after Arm.
-	mark func()
 	// finish, when set, runs after the timed run and reports its
 	// failures: audits, shutdown.
 	finish func() error
@@ -187,9 +184,6 @@ func (sw *sweep) measure(r row, reg regime) ([]string, error) {
 	for i, m := range x.mgrs {
 		base[i], obsBase[i] = m.Stats(), m.Observe()
 	}
-	if x.mark != nil {
-		x.mark()
-	}
 	elapsed, err := timed(x.workers, x.work)
 	if x.finish != nil {
 		if ferr := x.finish(); err == nil {
@@ -264,6 +258,9 @@ func Scenario(name string) func(Scale, []Variant) (*Table, error) {
 		return nil
 	}
 	fam := families[in.Kind]
+	if fam == nil {
+		return nil
+	}
 	return func(s Scale, vs []Variant) (*Table, error) { return fam(name, s, vs) }
 }
 
