@@ -146,10 +146,13 @@
 //
 // WorkPool (NewWorkPool, NewWorkPoolOf) is the sharded relaxed-FIFO
 // layer for independent work items: round-robin submission across
-// per-shard sub-rings, home-shard consumption, and — when a
-// consumer's home shard is empty while another holds work — a
-// two-lock steal (the multi-lock path at L=2) that returns one
-// element and migrates a small batch to the home shard. Ordering is
+// per-shard sub-rings, and consumers that try their home shard, then
+// the fullest other one by lock-free occupancy reads — popped under
+// its own lock when it holds one element and raided by a two-lock
+// steal (the multi-lock path at L=2) when it holds a backlog,
+// migrating a small batch to the home shard. A blocking Dequeue locks
+// only shards that read non-empty, so on an empty pool it takes no
+// lock. Ordering is
 // FIFO per shard only; that is the deliberate price of submit
 // throughput that scales with the shard count and stalls confined to
 // one shard. Queue is exactly the one-shard WorkPool: a thin type

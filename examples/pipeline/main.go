@@ -3,8 +3,9 @@
 // Items flow produce → square → sum through two WorkPools. Each stage
 // runs a small pool of goroutines; the queues between stages are
 // sharded relaxed-FIFO pools, so producers spread across shard locks
-// and a consumer whose home shard runs dry steals work on the two-lock
-// path (L = 2). No stage can wedge another: a worker preempted
+// and a consumer whose home shard runs dry pops another shard's work,
+// stealing a batch on the two-lock path (L = 2) when there is a
+// backlog. No stage can wedge another: a worker preempted
 // mid-enqueue or mid-dequeue is helped by its competitors, which is
 // the property that keeps a pipeline's throughput smooth when stages
 // stall unevenly.

@@ -82,10 +82,10 @@ type Config struct {
 	TraceSample int
 	// TraceRing is the lock-level flight recorder's event capacity
 	// (default 65536 here, not the library's 4096: the server shares
-	// one manager between the backend and the dispatch pool, and idle
-	// workers polling empty queue shards append fast-path attempts
-	// continuously — a small ring would evict the interesting backend
-	// events within milliseconds of a burst).
+	// one manager between the backend and the dispatch pool, so every
+	// request appends the pool's enqueue and dequeue attempts beside
+	// its backend attempts — a small ring would evict the interesting
+	// backend events within milliseconds of a burst).
 	TraceRing int
 	// SpanRing is the capacity of the request-span flight recorder
 	// (default 2048). Spans are recorded whenever TraceSample > 0: every

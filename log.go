@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"wflocks/internal/arena"
 	"wflocks/internal/idem"
 	"wflocks/internal/stats"
 	"wflocks/internal/table"
@@ -453,24 +452,11 @@ func (f *logFrame[T]) RunThunk(r *idem.Run) {
 	}
 }
 
-// logFrameFor draws a fresh frame for this log's type from p's
-// per-structure arenas (created on the goroutine's first use).
-func logFrameFor[T any](p *Process) *logFrame[T] {
-	for _, s := range p.structs {
-		if a, ok := s.(*arena.Arena[logFrame[T]]); ok {
-			return a.New()
-		}
-	}
-	a := &arena.Arena[logFrame[T]]{}
-	p.structs = append(p.structs, a)
-	return a.New()
-}
-
 // tryAppendShard appends v to shard s with one acquisition, on the
 // frame fast path when the codec is scalar.
 func (l *Log[T]) tryAppendShard(p *Process, s int, v T) bool {
 	if l.scalarV != nil {
-		f := logFrameFor[T](p)
+		f := structFrame[logFrame[T]](p)
 		f.lg, f.s, f.op, f.v = l, s, lopAppend, v
 		l.m.retryLoop(context.Background(), p, l.locks[s:s+1], l.opBudget, f)
 		return f.resBits.Load()&lresOK != 0
@@ -780,7 +766,7 @@ func (c *Cursor[T]) tryNextWith(p *Process) (T, bool) {
 			continue
 		}
 		if l.scalarV != nil {
-			f := logFrameFor[T](p)
+			f := structFrame[logFrame[T]](p)
 			f.lg, f.slot, f.s, f.op = l, slot, s, lopNext
 			l.m.retryLoop(context.Background(), p, slot.pairs[s], l.opBudget, f)
 			if f.resBits.Load()&lresOK != 0 {

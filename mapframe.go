@@ -3,7 +3,6 @@ package wflocks
 import (
 	"sync/atomic"
 
-	"wflocks/internal/arena"
 	"wflocks/internal/idem"
 	"wflocks/internal/table"
 )
@@ -109,22 +108,9 @@ func (f *mapFrame[K, V]) RunThunk(r *idem.Run) {
 	}
 }
 
-// mapFrameFor draws a fresh frame for this map's type from p's
-// per-structure arenas (created on the goroutine's first use).
-func mapFrameFor[K comparable, V any](p *Process) *mapFrame[K, V] {
-	for _, s := range p.structs {
-		if a, ok := s.(*arena.Arena[mapFrame[K, V]]); ok {
-			return a.New()
-		}
-	}
-	a := &arena.Arena[mapFrame[K, V]]{}
-	p.structs = append(p.structs, a)
-	return a.New()
-}
-
 // frame prepares a fresh operation frame for one single-key call.
 func (mp *Map[K, V]) frame(p *Process, op uint8, sh *table.Shard, h uint64, home int, k K) *mapFrame[K, V] {
-	f := mapFrameFor[K, V](p)
+	f := structFrame[mapFrame[K, V]](p)
 	f.mp, f.sh, f.h, f.home, f.k, f.op = mp, sh, h, home, k, op
 	return f
 }

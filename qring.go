@@ -82,22 +82,24 @@ func (r *qring[T]) enqOne(tx *Tx, v T) bool {
 	return true
 }
 
-// deqOne pops the oldest element into out inside a critical section,
-// reporting false when the ring is empty. The freed slot's sequence
-// advances a full lap (h+capacity): it now awaits the enqueue ticket
-// that will next land on it.
-func (r *qring[T]) deqOne(tx *Tx, out *Cell[T]) bool {
+// deqOne pops and returns the oldest element inside a critical
+// section, reporting false when the ring is empty. The freed slot's
+// sequence advances a full lap (h+capacity): it now awaits the enqueue
+// ticket that will next land on it. The caller routes the element out
+// (a result cell or a frame's result word).
+func (r *qring[T]) deqOne(tx *Tx) (T, bool) {
 	h := Get(tx, r.head)
 	t := Get(tx, r.tail)
 	if h == t {
-		return false
+		var zero T
+		return zero, false
 	}
 	i := int(h & r.mask)
-	Put(tx, out, Get(tx, r.vals[i]))
+	v := Get(tx, r.vals[i])
 	Put(tx, r.seq[i], h+uint64(r.capacity))
 	Put(tx, r.head, h+1)
 	Put(tx, r.deqs, Get(tx, r.deqs)+1)
-	return true
+	return v, true
 }
 
 // moveOne migrates one element from the head of `from` to the tail of

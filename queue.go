@@ -142,7 +142,8 @@ func (q *Queue[T]) Cap() int { return q.wp.Cap() }
 func (q *Queue[T]) TryEnqueue(v T) bool { return q.wp.TryEnqueue(v) }
 
 // TryDequeue pops the oldest element, reporting false when the queue is
-// empty.
+// empty. It always takes the queue lock once, so an empty queue
+// records the observation in Stats().EmptyRejects.
 func (q *Queue[T]) TryDequeue() (T, bool) { return q.wp.TryDequeue() }
 
 // Enqueue appends v, waiting while the queue is full: failed attempts
@@ -153,7 +154,8 @@ func (q *Queue[T]) TryDequeue() (T, bool) { return q.wp.TryDequeue() }
 func (q *Queue[T]) Enqueue(ctx context.Context, v T) error { return q.wp.Enqueue(ctx, v) }
 
 // Dequeue pops the oldest element, waiting while the queue is empty
-// under the same retry/cancellation contract as Enqueue.
+// under the same retry/cancellation contract as Enqueue. While the
+// queue reads empty it polls the lock-free occupancy and takes no lock.
 func (q *Queue[T]) Dequeue(ctx context.Context) (T, error) { return q.wp.Dequeue(ctx) }
 
 // EnqueueBatch appends vs in order, amortizing lock acquisitions: the
@@ -168,10 +170,10 @@ func (q *Queue[T]) EnqueueBatch(ctx context.Context, vs []T) (int, error) {
 }
 
 // DequeueBatch pops up to max elements in FIFO order, waiting only
-// until the first element is available: once anything has been
-// dequeued, it drains (in WithQueueBatch-sized atomic chunks) until the
-// queue is empty or max is reached, and returns without further
-// waiting. It returns an error wrapping ErrCanceled — with whatever was
+// until the first element is available (lock-free, as Dequeue): once
+// anything has been dequeued, it drains (in WithQueueBatch-sized
+// atomic chunks) until the queue is empty or max is reached, and
+// returns without further waiting. It returns an error wrapping ErrCanceled — with whatever was
 // dequeued before the cancellation — once ctx is done while still
 // empty-handed.
 func (q *Queue[T]) DequeueBatch(ctx context.Context, max int) ([]T, error) {
@@ -196,9 +198,12 @@ type QueueStats struct {
 	// Enqueues and Dequeues count completed operations (batch items
 	// count individually).
 	Enqueues, Dequeues uint64
-	// FullRejects counts attempts that observed a full ring; EmptyRejects
-	// counts attempts that observed an empty one. The blocking Enqueue/
-	// Dequeue paths add one per retried attempt.
+	// FullRejects counts enqueue sections that observed a full ring
+	// (the blocking Enqueue adds one per retried pass). EmptyRejects
+	// counts dequeue sections that observed an empty ring under the
+	// lock (lock-free skips not included): TryDequeue on an empty
+	// queue adds one, while the blocking Dequeue and DequeueBatch wait
+	// on lock-free occupancy reads and add none.
 	FullRejects, EmptyRejects uint64
 	// Len is the current occupancy; Capacity the slot count.
 	Len, Capacity int

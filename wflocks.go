@@ -171,6 +171,20 @@ func (p *Process) bodyFrame(body func(*Tx)) *txFrame {
 	return f
 }
 
+// structFrame draws a fresh operation frame of type F (a structure's
+// frame type: mapFrame, logFrame, poolFrame) from p's per-structure
+// arenas, creating F's arena on the goroutine's first use.
+func structFrame[F any](p *Process) *F {
+	for _, s := range p.structs {
+		if a, ok := s.(*arena.Arena[F]); ok {
+			return a.New()
+		}
+	}
+	a := &arena.Arena[F]{}
+	p.structs = append(p.structs, a)
+	return a.New()
+}
+
 // RunThunk implements idem.Thunk. It runs on the owner's and any
 // helper's goroutine; the Tx handle comes from the executing process's
 // own arena.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"wflocks/internal/idem"
 	"wflocks/internal/stats"
 	"wflocks/internal/table"
 )
@@ -15,12 +16,15 @@ import (
 // two-lock work stealing. Producers spread across shards, so submit
 // throughput scales with the shard count the way Map and Cache
 // operations do — per-lock contention drops toward κ/shards and every
-// critical section stays O(batch). Consumers drain their round-robin
-// "home" shard; a consumer that finds its home empty while other
-// shards hold work *steals*: one critical section over two shard locks
-// (the paper's multi-lock acquisition at L=2) pops an element for the
-// caller and migrates a small batch from the victim to the home shard,
-// rebalancing the pool as a side effect.
+// critical section stays O(batch). Consumers start at their
+// round-robin "home" shard and choose any other shard from lock-free
+// occupancy reads: the fullest one, whose lone element is popped under
+// that shard's lock alone, or whose backlog is *stolen*: one critical
+// section over two shard locks (the paper's multi-lock acquisition at
+// L=2) pops an element for the caller and migrates a small batch from
+// the victim to the home shard, rebalancing the pool as a side effect.
+// Blocking consumers lock only where there is work, so an idle
+// Dequeue costs no lock attempts.
 //
 // The ordering guarantee is deliberately weaker than Queue's, and that
 // is the price of the scaling: elements are FIFO *within a shard*, but
@@ -35,7 +39,13 @@ import (
 // configured with WithMaxLocks(2) or more for the steal path. All
 // methods are safe for concurrent use.
 type WorkPool[T any] struct {
-	m      *Manager
+	m *Manager
+
+	// scalarV is the element codec when it is single-word: a dequeued
+	// element then rides its frame's atomic result word. Nil for
+	// multi-word elements, which route it through a result cell.
+	scalarV ScalarCodec[T]
+
 	rings  []qring[T]
 	locks  []*Lock
 	steals []*Cell[uint64] // per shard: elements gained by stealing
@@ -186,6 +196,7 @@ func newWorkPool[T any](m *Manager, vc Codec[T], cfg poolConfig, who string) (*W
 		batchBudget: QueueCriticalSteps(vc.Words(), cfg.batch),
 		stealBudget: QueueCriticalSteps(vc.Words(), 1+2*stealBatch),
 	}
+	wp.scalarV, _ = vc.(ScalarCodec[T])
 	for s := range wp.rings {
 		wp.rings[s] = newQring(vc, perShard)
 		wp.locks[s] = m.NewLock()
@@ -201,19 +212,95 @@ func (wp *WorkPool[T]) Shards() int { return len(wp.rings) }
 // least the WithPoolCapacity request.
 func (wp *WorkPool[T]) Cap() int { return len(wp.rings) * wp.rings[0].capacity }
 
-// do runs a critical section on shard si's lock; doSteal runs one on a
-// home/victim lock pair, in canonical (lock ID) order as the
-// transaction layer sorts.
+// do runs a batch critical section on shard si's lock.
 func (wp *WorkPool[T]) do(p *Process, si, maxOps int, body func(*Tx)) {
 	wp.m.mustLock(p, "WorkPool", wp.locks[si:si+1], maxOps, body)
 }
 
-func (wp *WorkPool[T]) doSteal(p *Process, home, victim int, body func(*Tx)) {
-	pair := []*Lock{wp.locks[home], wp.locks[victim]}
-	if pair[1].ID() < pair[0].ID() {
-		pair[0], pair[1] = pair[1], pair[0]
+// Pool frame operation kinds (see mapframe.go for the frame pattern:
+// arena-fresh per call, parameters as plain fields, results through
+// atomic fields every run derives identically).
+const (
+	wpEnqueue uint8 = iota + 1
+	wpDequeue
+	wpSteal
+)
+
+// poolFrame is a single-item pool critical section in frame form: an
+// enqueue to or dequeue from shard s, or a steal from victim s into
+// shard home.
+type poolFrame[T any] struct {
+	wp   *WorkPool[T]
+	s    int
+	home int
+	op   uint8
+	v    T
+	out  *Cell[T] // dequeued element, multi-word codecs only
+
+	// resWord holds a dequeued element's scalar encoding; resN is 1
+	// for a completed enqueue or dequeue and the elements gained for a
+	// steal, 0 when the section observed a full or empty ring.
+	resWord atomic.Uint64
+	resN    atomic.Uint64
+}
+
+// RunThunk implements idem.Thunk.
+func (f *poolFrame[T]) RunThunk(r *idem.Run) {
+	tx := newTx(r)
+	ring := &f.wp.rings[f.s]
+	if f.op == wpEnqueue {
+		if ring.enqOne(tx, f.v) {
+			f.resN.Store(1)
+		} else {
+			Put(tx, ring.fulls, Get(tx, ring.fulls)+1)
+		}
+		return
 	}
-	wp.m.mustLock(p, "WorkPool", pair, wp.stealBudget, body)
+	v, ok := ring.deqOne(tx)
+	if !ok {
+		Put(tx, ring.empties, Get(tx, ring.empties)+1)
+		return
+	}
+	if sc := f.wp.scalarV; sc != nil {
+		f.resWord.Store(sc.EncodeWord(v))
+	} else {
+		Put(tx, f.out, v)
+	}
+	n := uint64(1)
+	if f.op == wpSteal {
+		home := &f.wp.rings[f.home]
+		for j := 0; j < stealBatch && moveOne(tx, ring, home); j++ {
+			n++
+		}
+		Put(tx, f.wp.steals[f.home], Get(tx, f.wp.steals[f.home])+n)
+	}
+	f.resN.Store(n)
+}
+
+// run executes the frame's section on shard s's lock (a pop or an
+// enqueue) or on the home/victim pair in canonical lock-ID order (a
+// steal), reporting the frame's resN. Construction validated both
+// budgets against the manager's bounds.
+func (f *poolFrame[T]) run(p *Process) uint64 {
+	wp := f.wp
+	locks, budget := wp.locks[f.s:f.s+1], wp.opBudget
+	if f.op == wpSteal {
+		locks = []*Lock{wp.locks[f.home], wp.locks[f.s]}
+		if locks[1].ID() < locks[0].ID() {
+			locks[0], locks[1] = locks[1], locks[0]
+		}
+		budget = wp.stealBudget
+	}
+	wp.m.retryLoop(context.Background(), p, locks, budget, f)
+	return f.resN.Load()
+}
+
+// frame draws a fresh operation frame for one single-item section on
+// shard s.
+func (wp *WorkPool[T]) frame(p *Process, op uint8, s int) *poolFrame[T] {
+	f := structFrame[poolFrame[T]](p)
+	f.wp, f.op, f.s = wp, op, s
+	return f
 }
 
 // TryEnqueue submits v to the next shard in round-robin order, probing
@@ -231,17 +318,9 @@ func (wp *WorkPool[T]) tryEnqueueWith(p *Process, v T) bool {
 
 func (wp *WorkPool[T]) tryEnqueueFrom(p *Process, start uint64, v T) bool {
 	for j := 0; j < len(wp.rings); j++ {
-		si := int((start + uint64(j)) & wp.shardMask)
-		ring := &wp.rings[si]
-		ok := NewBoolCell(false)
-		wp.do(p, si, wp.opBudget, func(tx *Tx) {
-			if ring.enqOne(tx, v) {
-				Put(tx, ok, true)
-			} else {
-				Put(tx, ring.fulls, Get(tx, ring.fulls)+1)
-			}
-		})
-		if ok.Get(p) {
+		f := wp.frame(p, wpEnqueue, int((start+uint64(j))&wp.shardMask))
+		f.v = v
+		if f.run(p) != 0 {
 			return true
 		}
 	}
@@ -250,75 +329,70 @@ func (wp *WorkPool[T]) tryEnqueueFrom(p *Process, start uint64, v T) bool {
 
 // TryDequeue pops an element, reporting false when the pool has none
 // it can reach in one pass. The consumer's round-robin home shard is
-// tried first with a single-lock dequeue; if the home is empty and
-// another shard holds work, the fullest other shard is raided on the
-// two-lock steal path — the returned element comes from the victim and
-// up to stealBatch more elements migrate to the home shard, so
-// subsequent dequeues hit locally. A false return does not guarantee
-// the pool was empty at any single instant (shards are inspected one
-// at a time); producers and consumers using the blocking forms never
-// miss work, because they retry.
+// tried first, under its lock even when it reads empty: the section
+// records the empty and helps a holder stalled there finish its
+// enqueue, whose element the consumer then takes. Past the home shard
+// the choice is lock-free: the fullest other shard by its occupancy
+// read is popped under its own lock when it holds one element and
+// raided on the two-lock steal path when it holds a batch to migrate
+// (the returned element comes from the victim and up to stealBatch
+// more move to the home shard, so subsequent dequeues hit locally). A
+// false return does not guarantee the pool was empty at any single
+// instant (the reads are advisory and each section re-checks under
+// its locks); consumers using the blocking forms never miss work,
+// because they retry.
 func (wp *WorkPool[T]) TryDequeue() (T, bool) {
 	p := wp.m.Acquire()
 	defer wp.m.Release(p)
-	return wp.tryDequeueWith(p)
+	return wp.dequeueWith(p, false)
 }
 
-func (wp *WorkPool[T]) tryDequeueWith(p *Process) (T, bool) {
-	var zero T
+// dequeueWith is the one single-item dequeue routine: TryDequeue's
+// pass as documented there. A blocking caller (Dequeue) retries, so
+// it locks its home shard only when that reads non-empty; when every
+// shard reads empty it returns at once, with no lock taken and nothing
+// allocated.
+func (wp *WorkPool[T]) dequeueWith(p *Process, blocking bool) (T, bool) {
 	home := int((wp.dq.Add(1) - 1) & wp.shardMask)
-	ring := &wp.rings[home]
-	out := newResultCell(ring.vc)
-	ok := NewBoolCell(false)
-	wp.do(p, home, wp.opBudget, func(tx *Tx) {
-		if ring.deqOne(tx, out) {
-			Put(tx, ok, true)
-		} else {
-			Put(tx, ring.empties, Get(tx, ring.empties)+1)
+	if !blocking || wp.rings[home].lenWith(p) > 0 {
+		if v, ok := wp.take(p, wpDequeue, home, home); ok || len(wp.rings) == 1 {
+			return v, ok
 		}
-	})
-	if ok.Get(p) {
-		return out.Get(p), true
 	}
-	if len(wp.rings) == 1 {
-		return zero, false
-	}
-	// Home is empty: pick the fullest other shard by its lock-free
-	// occupancy and raid it. The read is advisory — the steal re-checks
-	// under both locks.
-	victim, best := -1, 0
+	target, n := home, 0
 	for s := range wp.rings {
-		if s == home {
-			continue
-		}
-		if n := wp.rings[s].lenWith(p); n > best {
-			victim, best = s, n
+		if k := wp.rings[s].lenWith(p); k > n {
+			target, n = s, k
 		}
 	}
-	if victim < 0 {
+	switch {
+	case n == 0:
+		var zero T
+		return zero, false
+	case n == 1 || target == home:
+		return wp.take(p, wpDequeue, target, home)
+	default:
+		return wp.take(p, wpSteal, target, home)
+	}
+}
+
+// take runs one dequeue-side section on a fresh frame — a pop from
+// shard s, or a steal from victim s into home — and returns the
+// element it delivered.
+func (wp *WorkPool[T]) take(p *Process, op uint8, s, home int) (T, bool) {
+	f := wp.frame(p, op, s)
+	f.home = home
+	if wp.scalarV == nil {
+		f.out = newResultCell(wp.rings[s].vc)
+	}
+	if f.run(p) == 0 {
+		var zero T
 		return zero, false
 	}
-	vr := &wp.rings[victim]
-	stolen := NewCell(uint64(0))
-	wp.doSteal(p, home, victim, func(tx *Tx) {
-		if !vr.deqOne(tx, out) {
-			Put(tx, vr.empties, Get(tx, vr.empties)+1)
-			return
-		}
-		moved := uint64(1)
-		for j := 0; j < stealBatch; j++ {
-			if !moveOne(tx, vr, ring) {
-				break
-			}
-			moved++
-		}
-		Put(tx, stolen, moved)
-		Put(tx, wp.steals[home], Get(tx, wp.steals[home])+moved)
-	})
-	if stolen.Get(p) == 0 {
-		return zero, false
+	if f.out != nil {
+		return f.out.Get(p), true
 	}
-	return out.Get(p), true
+	return wp.scalarV.DecodeWord(f.resWord.Load()), true
 }
 
 // TryEnqueueKeyed submits v with shard affinity: probing starts at the
@@ -372,7 +446,10 @@ func (wp *WorkPool[T]) Enqueue(ctx context.Context, v T) error {
 }
 
 // Dequeue pops an element, waiting while the pool is empty under the
-// same retry/cancellation contract as Enqueue.
+// same retry/cancellation contract as Enqueue. A pass that reads every
+// shard empty takes no lock and allocates nothing — idle consumers
+// spin on lock-free occupancy reads under the RetryPolicy — so an idle
+// wait adds no lock attempts and no EmptyRejects.
 func (wp *WorkPool[T]) Dequeue(ctx context.Context) (T, error) {
 	p := wp.m.Acquire()
 	defer wp.m.Release(p)
@@ -381,7 +458,7 @@ func (wp *WorkPool[T]) Dequeue(ctx context.Context) (T, error) {
 			var zero T
 			return zero, fmt.Errorf("%w: pool empty after %d passes: %w", ErrCanceled, attempt-1, err)
 		}
-		if v, ok := wp.tryDequeueWith(p); ok {
+		if v, ok := wp.dequeueWith(p, true); ok {
 			return v, nil
 		}
 		wp.m.retry.Wait(ctx, attempt)
@@ -444,8 +521,10 @@ func (wp *WorkPool[T]) EnqueueBatch(ctx context.Context, vs []T) (int, error) {
 // is available: shards are scanned in round-robin order and drained in
 // WithPoolBatch-sized atomic chunks until max is reached or a pass
 // fills no shard's chunk (every shard came up short, so it ran dry at
-// that instant). The scan visits every shard, so the batch path needs
-// no steal. Elements within one chunk preserve their shard's FIFO
+// that instant). A shard whose lock-free occupancy read is empty is
+// skipped without its lock and counts as short, so an empty-handed
+// pass over an empty pool takes no lock and allocates nothing. The
+// scan visits every shard, so the batch path needs no steal. Elements within one chunk preserve their shard's FIFO
 // order; chunks from different shards interleave (relaxed FIFO). It
 // returns an error wrapping ErrCanceled — with whatever was dequeued —
 // once ctx is done while still empty-handed.
@@ -467,6 +546,9 @@ func (wp *WorkPool[T]) DequeueBatch(ctx context.Context, max int) ([]T, error) {
 		for j := 0; j < len(wp.rings) && len(got) < max; j++ {
 			si := int((start + uint64(j)) & wp.shardMask)
 			ring := &wp.rings[si]
+			if ring.lenWith(p) == 0 {
+				continue
+			}
 			want := max - len(got)
 			if want > wp.batch {
 				want = wp.batch
@@ -479,10 +561,12 @@ func (wp *WorkPool[T]) DequeueBatch(ctx context.Context, max int) ([]T, error) {
 			wp.do(p, si, wp.batchBudget, func(tx *Tx) {
 				k := uint64(0)
 				for i := 0; i < want; i++ {
-					if !ring.deqOne(tx, outs[i]) {
+					v, ok := ring.deqOne(tx)
+					if !ok {
 						Put(tx, ring.empties, Get(tx, ring.empties)+1)
 						break
 					}
+					Put(tx, outs[i], v)
 					k++
 				}
 				Put(tx, n, k)
@@ -527,11 +611,15 @@ type WorkPoolShardStats struct {
 	// elements keep their original enqueue shard and count their
 	// eventual dequeue wherever they are drained.
 	Enqueues, Dequeues uint64
+	// A single-lock pop from another shard (one element there, nothing
+	// to migrate) counts as that shard's dequeue, not as a steal.
 	// Steals counts elements this shard gained by raiding others (the
 	// returned element plus the migrated batch).
 	Steals uint64
-	// FullRejects and EmptyRejects count attempts that observed this
-	// shard full/empty (round-robin probing and steal re-checks
+	// FullRejects counts enqueue sections that observed this shard
+	// full (round-robin probing included); EmptyRejects counts dequeue
+	// sections that observed it empty under its lock (TryDequeue's
+	// home-shard try and steal re-checks included; lock-free skips not
 	// included).
 	FullRejects, EmptyRejects uint64
 	// Len is the shard's current occupancy.

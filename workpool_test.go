@@ -379,3 +379,222 @@ func TestWorkPoolEnqueueKeyedCanceled(t *testing.T) {
 		t.Fatalf("EnqueueKeyed on a full pool = %v, want ErrCanceled", err)
 	}
 }
+
+// TestWorkPoolDequeueIdleTakesNoLocks pins the consumer side's
+// lock-free shard choice: a blocking Dequeue spinning on an empty pool
+// reads occupancy without locking, so the wait adds no lock attempt
+// (and no EmptyRejects) on any shard; once one element lands on a
+// shard, the call pops it under that shard's lock alone, with no steal.
+func TestWorkPoolDequeueIdleTakesNoLocks(t *testing.T) {
+	m := poolManager(t, 2, 4)
+	wp, err := NewWorkPool[uint64](m,
+		WithPoolShards(8), WithPoolCapacity(64), WithPoolBatch(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	type result struct {
+		v   uint64
+		err error
+	}
+	got := make(chan result, 1)
+	go func() {
+		v, err := wp.Dequeue(ctx)
+		got <- result{v, err}
+	}()
+	time.Sleep(20 * time.Millisecond)
+	for s, sh := range wp.Stats().Shards {
+		if sh.Lock.Attempts != 0 || sh.EmptyRejects != 0 {
+			t.Fatalf("shard %d after an idle wait: %d lock attempts, %d empty rejects; want 0/0",
+				s, sh.Lock.Attempts, sh.EmptyRejects)
+		}
+	}
+	// The consumer's home cursor advances every pass, so shard 5 is
+	// not its home on most passes; a lone element is popped under its
+	// own shard lock either way.
+	const shard = 5
+	if !wp.TryEnqueueKeyed(shard, 42) {
+		t.Fatal("TryEnqueueKeyed on an empty pool failed")
+	}
+	r := <-got
+	if r.err != nil || r.v != 42 {
+		t.Fatalf("Dequeue = (%d, %v), want (42, nil)", r.v, r.err)
+	}
+	st := wp.Stats()
+	if st.Steals != 0 || st.EmptyRejects != 0 {
+		t.Fatalf("after the pop: %d steals, %d empty rejects; want 0/0", st.Steals, st.EmptyRejects)
+	}
+	if sh := st.Shards[shard]; sh.Enqueues != 1 || sh.Dequeues != 1 {
+		t.Fatalf("shard %d counted %d enq, %d deq; want 1/1", shard, sh.Enqueues, sh.Dequeues)
+	}
+	// An empty-handed DequeueBatch pass is lock-free too.
+	attempts := func(s WorkPoolStats) (n uint64) {
+		for _, sh := range s.Shards {
+			n += sh.Lock.Attempts
+		}
+		return n
+	}
+	before := attempts(wp.Stats())
+	bctx, bcancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer bcancel()
+	if _, err := wp.DequeueBatch(bctx, 4); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("DequeueBatch on an empty pool = %v, want ErrCanceled", err)
+	}
+	if after := attempts(wp.Stats()); after != before {
+		t.Fatalf("idle DequeueBatch took %d lock attempts, want 0", after-before)
+	}
+}
+
+// TestWorkPoolAllocs is the pool's allocation gate: on an 8-shard
+// scalar pool, the enqueue and dequeue frames keep both dispatch pairs
+// (the fail-fast pair and the keyed-submit/blocking-dequeue pair a
+// server's readers and workers use) at (amortized) zero allocations.
+func TestWorkPoolAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
+	}
+	m := poolManager(t, 2, 8)
+	wp, err := NewWorkPool[uint64](m, WithPoolShards(8), WithPoolCapacity(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	key := uint64(0)
+	pairs := []struct {
+		name string
+		run  func()
+	}{
+		{"TryEnqueue+TryDequeue", func() {
+			if !wp.TryEnqueue(7) {
+				t.Fatal("TryEnqueue failed")
+			}
+			if _, ok := wp.TryDequeue(); !ok {
+				t.Fatal("TryDequeue failed")
+			}
+		}},
+		{"EnqueueKeyed+Dequeue", func() {
+			key += 3 // walk every shard, home and not
+			if err := wp.EnqueueKeyed(ctx, key, 7); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := wp.Dequeue(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, pr := range pairs {
+		for i := 0; i < 512; i++ {
+			pr.run()
+		}
+		if avg := testing.AllocsPerRun(400, pr.run); avg >= 0.5 {
+			t.Fatalf("%s averages %.2f allocs/op, want < 0.5", pr.name, avg)
+		}
+	}
+}
+
+// TestWorkPoolBlockingConservation runs the blocking dispatch shape —
+// keyed producers feeding 8 shards, more blocking Dequeue consumers
+// than GOMAXPROCS — and checks every value arrives exactly once, for a
+// scalar codec (the frame's result word) and a multi-word codec (the
+// result cell).
+func TestWorkPoolBlockingConservation(t *testing.T) {
+	type pair struct{ ID, Check uint64 }
+	t.Run("scalar", func(t *testing.T) {
+		blockingConservation(t, IntegerCodec[uint64](),
+			func(id uint64) uint64 { return id },
+			func(v uint64) (uint64, bool) { return v, true })
+	})
+	t.Run("multiword", func(t *testing.T) {
+		codec := CodecFunc(2,
+			func(p pair, dst []uint64) { dst[0], dst[1] = p.ID, p.Check },
+			func(src []uint64) pair { return pair{src[0], src[1]} })
+		blockingConservation(t, codec,
+			func(id uint64) pair { return pair{id, ^id} },
+			func(p pair) (uint64, bool) { return p.ID, p.Check == ^p.ID })
+	})
+}
+
+func blockingConservation[T any](t *testing.T, codec Codec[T], mk func(uint64) T, id func(T) (uint64, bool)) {
+	const (
+		producers = 2
+		perProd   = 300
+		total     = producers * perProd
+	)
+	consumers := runtime.GOMAXPROCS(0) + 2
+	if consumers < 4 {
+		consumers = 4
+	}
+	m, err := New(
+		WithKappa(producers+consumers),
+		WithMaxLocks(2),
+		WithMaxCriticalSteps(WorkPoolCriticalSteps(codec.Words(), 4)),
+		WithDelayConstants(1, 1),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wp, err := NewWorkPoolOf[T](m, codec,
+		WithPoolShards(8), WithPoolCapacity(64), WithPoolBatch(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline, stop := context.WithTimeout(context.Background(), 60*time.Second)
+	defer stop()
+	ctx, done := context.WithCancel(deadline)
+	defer done()
+	var seen [(total + 63) / 64]atomic.Uint64
+	var consumed atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < producers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perProd; i++ {
+				v := uint64(w*perProd + i)
+				if err := wp.EnqueueKeyed(ctx, v*0x9e3779b97f4a7c15>>61, mk(v)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	for c := 0; c < consumers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				e, err := wp.Dequeue(ctx)
+				if err != nil {
+					if n := consumed.Load(); n < total {
+						t.Errorf("consumer stopped at %d of %d: %v", n, total, err)
+					}
+					return
+				}
+				v, intact := id(e)
+				if !intact || v >= total {
+					t.Errorf("dequeued a corrupt element %+v", e)
+					return
+				}
+				bit := uint64(1) << (v % 64)
+				if seen[v/64].Or(bit)&bit != 0 {
+					t.Errorf("value %d dequeued twice", v)
+				}
+				if consumed.Add(1) == total {
+					done()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for v := uint64(0); v < total; v++ {
+		if seen[v/64].Load()&(1<<(v%64)) == 0 {
+			t.Fatalf("value %d never dequeued", v)
+		}
+	}
+	s := wp.Stats()
+	if s.Enqueues != total || s.Dequeues != total || s.Len != 0 {
+		t.Fatalf("quiescent stats = %d enq, %d deq, len %d; want %d/%d/0",
+			s.Enqueues, s.Dequeues, s.Len, total, total)
+	}
+}
